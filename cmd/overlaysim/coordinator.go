@@ -1,20 +1,12 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
-	"net"
-	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/obs"
 )
 
 // coordinator test hooks, nil outside the package tests: coordReady
@@ -25,29 +17,18 @@ var (
 	coordStop  <-chan struct{}
 )
 
-// stringList collects a repeatable string flag.
-type stringList []string
-
-func (l *stringList) String() string { return fmt.Sprint([]string(*l)) }
-
-func (l *stringList) Set(v string) error {
-	*l = append(*l, v)
-	return nil
-}
-
 func newCoordinatorCmd() *command {
 	fs := flag.NewFlagSet("coordinator", flag.ContinueOnError)
-	addr := fs.String("addr", "127.0.0.1:8090", "listen `address` (host:port; port 0 picks a free port)")
-	var workers stringList
-	fs.Var(&workers, "worker", "worker base `URL` to shard jobs across (repeatable); workers may also self-register")
-	store := fs.String("store", "", "persistent result store `directory` (empty disables the durable tier)")
+	df := addDaemonFlags(fs, "127.0.0.1:8090")
+	var workers []string
+	fs.Func("worker", "worker base `URL` to shard jobs across (repeatable); workers may also self-register",
+		func(v string) error {
+			workers = append(workers, v)
+			return nil
+		})
 	healthEvery := fs.Duration("health-interval", 2*time.Second, "worker /readyz probe period")
 	retryAfter := fs.Duration("retry-after", 2*time.Second, "Retry-After hint returned when every shard is saturated")
 	attempts := fs.Int("forward-attempts", 3, "shards one job may be routed to before it fails")
-	grace := fs.Duration("grace", 30*time.Second, "shutdown grace period for in-flight jobs")
-	logFormat := fs.String("log-format", "json", "structured log format: json or text")
-	logLevel := fs.String("log-level", "info", "log level: debug, info, warn or error")
-	notrace := fs.Bool("no-trace", false, "disable per-job span tracing")
 	return &command{
 		name:    "coordinator",
 		summary: "shard jobs across serve workers (topology: docs/CLUSTER.md)",
@@ -63,92 +44,23 @@ func newCoordinatorCmd() *command {
 			if *attempts < 1 {
 				return usageError(fmt.Sprintf("invalid -forward-attempts %d: must be >= 1", *attempts))
 			}
-			if *grace <= 0 {
-				return usageError(fmt.Sprintf("invalid -grace %s: must be > 0", *grace))
+			d, fcfg, err := df.open(stderr)
+			if err != nil {
+				return err
 			}
-			if *logFormat != "json" && *logFormat != "text" {
-				return usageError(fmt.Sprintf("invalid -log-format %q: json or text", *logFormat))
-			}
-			level, ok := obs.ParseLevel(*logLevel)
-			if !ok {
-				return usageError(fmt.Sprintf("invalid -log-level %q: debug, info, warn or error", *logLevel))
-			}
-			cfg := cluster.Config{
+			d.front = cluster.New(cluster.Config{
 				Workers:         workers,
+				Store:           fcfg.Store,
 				HealthInterval:  *healthEvery,
 				RetryAfter:      *retryAfter,
 				ForwardAttempts: *attempts,
-				Logger:          obs.NewLogger(stderr, *logFormat, level),
-				DisableTracing:  *notrace,
-			}
-			if *store != "" {
-				fsStore, err := cluster.NewFSStore(*store)
-				if err != nil {
-					return usageError(fmt.Sprintf("invalid -store: %v", err))
-				}
-				cfg.Store = fsStore
-			}
-			return coordinate(*addr, cfg, *grace, stdout, stderr)
+				Logger:          fcfg.Logger,
+				DisableTracing:  fcfg.DisableTracing,
+			}).FrontEnd
+			d.detail = fmt.Sprintf(" (%d static workers)", len(workers))
+			d.attrs = []any{"workers", len(workers)}
+			d.ready, d.stop = coordReady, coordStop
+			return d.run(stdout)
 		},
 	}
-}
-
-// coordinate listens on addr and routes jobs across the worker fleet
-// until SIGINT/SIGTERM (or the test stop hook), then drains: intake
-// stops with 503, in-flight jobs get the grace period to reach a
-// terminal state on their workers, stragglers are cancelled remotely.
-func coordinate(addr string, cfg cluster.Config, grace time.Duration, stdout, stderr io.Writer) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return usageError(fmt.Sprintf("invalid -addr: %v", err))
-	}
-	logger := cfg.Logger
-	if logger == nil {
-		logger = obs.NewLogger(stderr, "json", slog.LevelInfo)
-		cfg.Logger = logger
-	}
-	co := cluster.New(cfg)
-	hs := &http.Server{Handler: co.Handler()}
-
-	sigCtx, stopSignals := signal.NotifyContext(context.Background(),
-		os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-
-	fmt.Fprintf(stdout, "overlaysim coordinator: listening on http://%s (%d static workers)\n",
-		ln.Addr(), len(cfg.Workers))
-	logger.Info("overlaysim coordinator: listening",
-		"addr", ln.Addr().String(), "workers", len(cfg.Workers))
-	if coordReady != nil {
-		coordReady <- ln.Addr().String()
-	}
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		return err // the listener died on its own
-	case <-sigCtx.Done():
-	case <-coordStop:
-	}
-	// Restore default signal handling so a second signal kills the
-	// process instead of waiting out the grace period.
-	stopSignals()
-
-	logger.Info("overlaysim coordinator: shutting down, draining jobs", "grace", grace.String())
-	graceCtx, cancel := context.WithTimeout(context.Background(), grace)
-	defer cancel()
-	drainErr := co.Drain(graceCtx)
-
-	shutCtx, cancelShut := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancelShut()
-	if err := hs.Shutdown(shutCtx); err != nil && drainErr == nil {
-		drainErr = err
-	}
-	if drainErr == nil {
-		logger.Info("overlaysim coordinator: drained cleanly")
-	} else {
-		logger.Error("overlaysim coordinator: drain failed", "err", drainErr.Error())
-	}
-	return drainErr
 }

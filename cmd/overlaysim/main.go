@@ -43,6 +43,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/sparse"
 	"repro/internal/system"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -584,8 +585,11 @@ func newSweepCmd() *command {
 			if *points < 2 {
 				return usageError(fmt.Sprintf("invalid -points %d: need at least 2 sweep points", *points))
 			}
-			if *rows < 8 {
+			if *rows < sparse.ValuesPerLine {
 				return usageError(fmt.Sprintf("invalid -rows %d: need at least one cache line of values", *rows))
+			}
+			if *rows%sparse.ValuesPerLine != 0 {
+				return usageError(fmt.Sprintf("invalid -rows %d: must be a multiple of %d (whole cache lines of values)", *rows, sparse.ValuesPerLine))
 			}
 			outs, err := tel.open()
 			if err != nil {

@@ -5,16 +5,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
-	"net"
-	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -28,17 +21,12 @@ var (
 
 func newServeCmd() *command {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
-	addr := fs.String("addr", "127.0.0.1:8080", "listen `address` (host:port; port 0 picks a free port)")
+	df := addDaemonFlags(fs, "127.0.0.1:8080")
 	workers := fs.Int("workers", 0, "jobs simulated concurrently (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 16, "accepted jobs that may wait behind the running ones")
 	jobTimeout := fs.Duration("job-timeout", 0, "per-job wall-clock cap (0 = unbounded)")
-	grace := fs.Duration("grace", 30*time.Second, "shutdown grace period for in-flight jobs")
 	cacheSize := fs.Int("cache", 128, "result cache entries (negative disables caching)")
 	snapCache := fs.Int("snapshot-cache", 32, "warm-state snapshot cache families (negative disables warm-state reuse)")
-	logFormat := fs.String("log-format", "json", "structured log format: json or text")
-	logLevel := fs.String("log-level", "info", "log level: debug, info, warn or error")
-	notrace := fs.Bool("no-trace", false, "disable per-job span tracing")
-	store := fs.String("store", "", "persistent result store `directory` (empty disables the durable tier)")
 	register := fs.String("register", "", "coordinator base `URL` to self-register with (worker mode)")
 	advertise := fs.String("advertise", "", "base `URL` this worker registers as (default http://<bound addr>)")
 	return &command{
@@ -56,111 +44,33 @@ func newServeCmd() *command {
 			if *jobTimeout < 0 {
 				return usageError(fmt.Sprintf("invalid -job-timeout %s: must be >= 0", *jobTimeout))
 			}
-			if *grace <= 0 {
-				return usageError(fmt.Sprintf("invalid -grace %s: must be > 0", *grace))
-			}
-			if *logFormat != "json" && *logFormat != "text" {
-				return usageError(fmt.Sprintf("invalid -log-format %q: json or text", *logFormat))
-			}
-			level, ok := obs.ParseLevel(*logLevel)
-			if !ok {
-				return usageError(fmt.Sprintf("invalid -log-level %q: debug, info, warn or error", *logLevel))
-			}
 			if *advertise != "" && *register == "" {
 				return usageError("-advertise requires -register")
 			}
-			cfg := server.Config{
-				Workers:           *workers,
-				QueueDepth:        *queue,
-				JobTimeout:        *jobTimeout,
-				CacheSize:         *cacheSize,
-				SnapshotCacheSize: *snapCache,
-				Logger:            obs.NewLogger(stderr, *logFormat, level),
-				DisableTracing:    *notrace,
+			d, cfg, err := df.open(stderr)
+			if err != nil {
+				return err
 			}
-			if *store != "" {
-				fsStore, err := cluster.NewFSStore(*store)
-				if err != nil {
-					return usageError(fmt.Sprintf("invalid -store: %v", err))
+			cfg.Workers = *workers
+			cfg.QueueDepth = *queue
+			cfg.JobTimeout = *jobTimeout
+			cfg.CacheSize = *cacheSize
+			cfg.SnapshotCacheSize = *snapCache
+			// Worker mode: keep this server announced to the coordinator
+			// until shutdown begins (docs/CLUSTER.md). Registration
+			// failures are retried on the loop's cadence and never block
+			// serving.
+			regCtx, stopRegister := context.WithCancel(context.Background())
+			defer stopRegister()
+			if *register != "" {
+				if *advertise == "" {
+					*advertise = "http://" + d.ln.Addr().String()
 				}
-				cfg.Store = fsStore
+				go cluster.RegisterLoop(regCtx, *register, *advertise, 5*time.Second, cfg.Logger)
 			}
-			return serve(*addr, cfg, *grace, *register, *advertise, stdout, stderr)
+			d.front = server.New(cfg).FrontEnd
+			d.ready, d.stop, d.onShutdown = serveReady, serveStop, stopRegister
+			return d.run(stdout)
 		},
 	}
-}
-
-// serve listens on addr and runs the job service until SIGINT/SIGTERM
-// (or the test stop hook), then drains: intake stops with 503, in-flight
-// jobs get the grace period to finish, stragglers are cancelled. A clean
-// drain exits 0; an expired grace period is a runtime error (exit 1).
-// With register set, the worker keeps itself announced to that
-// coordinator for the server's whole lifetime (docs/CLUSTER.md).
-func serve(addr string, cfg server.Config, grace time.Duration, register, advertise string, stdout, stderr io.Writer) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return usageError(fmt.Sprintf("invalid -addr: %v", err))
-	}
-	logger := cfg.Logger
-	if logger == nil {
-		logger = obs.NewLogger(stderr, "json", slog.LevelInfo)
-		cfg.Logger = logger
-	}
-	srv := server.New(cfg)
-	hs := &http.Server{Handler: srv.Handler()}
-
-	sigCtx, stopSignals := signal.NotifyContext(context.Background(),
-		os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-
-	fmt.Fprintf(stdout, "overlaysim serve: listening on http://%s\n", ln.Addr())
-	logger.Info("overlaysim serve: listening", "addr", ln.Addr().String())
-	if serveReady != nil {
-		serveReady <- ln.Addr().String()
-	}
-
-	// Worker mode: keep this server announced to the coordinator until
-	// shutdown. Registration failures are retried on the loop's cadence
-	// and never block serving.
-	regCtx, stopRegister := context.WithCancel(context.Background())
-	defer stopRegister()
-	if register != "" {
-		if advertise == "" {
-			advertise = "http://" + ln.Addr().String()
-		}
-		go cluster.RegisterLoop(regCtx, register, advertise, 5*time.Second, logger)
-	}
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		return err // the listener died on its own
-	case <-sigCtx.Done():
-	case <-serveStop:
-	}
-	// Restore default signal handling so a second signal kills the
-	// process instead of waiting out the grace period.
-	stopSignals()
-	stopRegister()
-
-	logger.Info("overlaysim serve: shutting down, draining jobs", "grace", grace.String())
-	graceCtx, cancel := context.WithTimeout(context.Background(), grace)
-	defer cancel()
-	drainErr := srv.Drain(graceCtx)
-
-	// All jobs are terminal now, so event streams and waiting submits
-	// unblock promptly; Shutdown just flushes the last responses.
-	shutCtx, cancelShut := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancelShut()
-	if err := hs.Shutdown(shutCtx); err != nil && drainErr == nil {
-		drainErr = err
-	}
-	if drainErr == nil {
-		logger.Info("overlaysim serve: drained cleanly")
-	} else {
-		logger.Error("overlaysim serve: drain failed", "err", drainErr.Error())
-	}
-	return drainErr
 }

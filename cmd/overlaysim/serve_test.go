@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -121,4 +122,22 @@ func TestServeMatchesCLI(t *testing.T) {
 	if !strings.Contains(srvErr.String(), "drained cleanly") {
 		t.Errorf("serve stderr missing drain confirmation: %s", srvErr.String())
 	}
+}
+
+// TestShutdownClosesSilentConnection proves a connection that never
+// sends a request — a client's pooled, unused dial — cannot hold the
+// shutdown past its budget: the drain stays clean and serve exits 0.
+func TestShutdownClosesSilentConnection(t *testing.T) {
+	ready := make(chan string, 1)
+	stop := make(chan struct{})
+	serveReady, serveStop = ready, stop
+	defer func() { serveReady, serveStop = nil, nil }()
+	addr, shutdown := startCmd(t,
+		[]string{"serve", "-addr=127.0.0.1:0", "-workers=1", "-grace=30s"}, ready, stop)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	shutdown()
 }

@@ -305,7 +305,7 @@ func TestCoordinatorRestartServesFromStore(t *testing.T) {
 	}
 
 	// An unknown spec, with no workers, is 503 — not a hang.
-	status, _, _ = postSpec(t, cts2.URL, sweepSpec(97), false)
+	status, _, _ = postSpec(t, cts2.URL, sweepSpec(104), false)
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("submit with no workers: status %d, want 503", status)
 	}
@@ -325,7 +325,7 @@ func TestWorkerLossReroutesPendingJobs(t *testing.T) {
 	// Three jobs: one runs (wedged), two wait in worker 1's queue.
 	var ids []string
 	for i := 0; i < 3; i++ {
-		status, doc, _ := postSpec(t, cts.URL, sweepSpec(100+i), false)
+		status, doc, _ := postSpec(t, cts.URL, sweepSpec(104+8*i), false)
 		if status != http.StatusAccepted {
 			t.Fatalf("submit %d: status %d", i, status)
 		}
@@ -426,7 +426,7 @@ func TestFleetMetricsAggregate(t *testing.T) {
 		if i > 50 {
 			t.Fatalf("rendezvous never hit both workers (r1=%d r2=%d)", r1.count(), r2.count())
 		}
-		if status, doc, _ := postSpec(t, cts.URL, sweepSpec(200+i), true); status != http.StatusOK {
+		if status, doc, _ := postSpec(t, cts.URL, sweepSpec(200+8*i), true); status != http.StatusOK {
 			t.Fatalf("submit %d: status %d (%s)", i, status, doc.Error)
 		}
 	}

@@ -9,13 +9,12 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/exp"
 	"repro/internal/obs"
 	"repro/internal/server"
-	"repro/internal/sim"
 )
 
 // Config sizes a Coordinator. The zero value is usable except for
@@ -69,9 +68,6 @@ func (c Config) withDefaults() Config {
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 2 * time.Second
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 2 * time.Second
-	}
 	if c.ForwardAttempts <= 0 {
 		c.ForwardAttempts = 3
 	}
@@ -81,90 +77,74 @@ func (c Config) withDefaults() Config {
 	if c.Logger == nil {
 		c.Logger = obs.Nop()
 	}
-	if c.TraceCap <= 0 {
-		c.TraceCap = 512
-	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
 	}
 	return c
 }
 
-// workerState is one shard as the coordinator sees it.
-type workerState struct {
-	url        string
-	healthy    bool
-	registered bool // arrived via POST /v1/workers (vs static config)
-	lastSeen   time.Time
-	jobs       uint64 // jobs this coordinator routed here
-}
-
-// WorkerDoc is the wire form of a shard in GET /v1/workers.
+// WorkerDoc is one shard as the coordinator sees it, and its wire form
+// in GET /v1/workers.
 type WorkerDoc struct {
 	URL        string    `json:"url"`
 	Healthy    bool      `json:"healthy"`
-	Registered bool      `json:"registered"`
+	Registered bool      `json:"registered"` // arrived via POST /v1/workers (vs static config)
 	LastSeen   time.Time `json:"last_seen,omitempty"`
-	Jobs       uint64    `json:"jobs"`
+	Jobs       uint64    `json:"jobs"` // jobs this coordinator routed here
 }
 
-// Coordinator routes jobs across a worker fleet. Construct with New
+// Coordinator is the `overlaysim coordinator` process: a
+// server.FrontEnd over the forwarding executor, which routes each job
+// to its rendezvous shard and follows it there. Construct with New
 // (the health loop starts immediately), serve its Handler, stop with
 // Drain.
 type Coordinator struct {
+	*server.FrontEnd
 	cfg    Config
 	client *http.Client
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	// statsMu guards the telemetry registry plus the labelled tallies
-	// rendered beside it (HTTP statuses, per-worker routing counts).
-	statsMu      sync.Mutex
-	stats        *sim.Stats
-	statusCounts map[int]uint64
+	mu      sync.Mutex
+	workers map[string]*WorkerDoc
 
-	mu       sync.Mutex
-	workers  map[string]*workerState
-	jobs     map[string]*cjob
-	order    []*cjob
-	inflight map[string]*cjob // digest → routed, not yet terminal
-	draining bool
-	seq      int
-
-	wg sync.WaitGroup
+	wg sync.WaitGroup // health loop and job watchers
 }
 
-// New builds the coordinator and starts its health-check loop.
+// New builds the coordinator and starts its health-check loop. Its
+// wire identity — overlaysim_coord_* metrics, coordinator.job root
+// spans, cjob- IDs — is fixed here, and it keeps no in-memory result
+// LRU: repeats are answered by the persistent store or the worker.
 func New(cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	co := &Coordinator{
-		cfg:          cfg,
-		client:       cfg.Client,
-		baseCtx:      ctx,
-		baseCancel:   cancel,
-		stats:        &sim.Stats{},
-		statusCounts: make(map[int]uint64),
-		workers:      make(map[string]*workerState),
-		jobs:         make(map[string]*cjob),
-		inflight:     make(map[string]*cjob),
+		cfg:        cfg,
+		client:     cfg.Client,
+		baseCtx:    ctx,
+		baseCancel: cancel,
+		workers:    make(map[string]*WorkerDoc),
 	}
+	co.FrontEnd = server.NewFrontEnd(
+		server.Identity{Metrics: "coord", RootSpan: "coordinator.job", IDPrefix: "cjob-"},
+		server.Config{
+			CacheSize:      -1,
+			RetryAfter:     cfg.RetryAfter,
+			Store:          cfg.Store,
+			Logger:         cfg.Logger,
+			TraceCap:       cfg.TraceCap,
+			DisableTracing: cfg.DisableTracing,
+		}, co)
 	for _, u := range cfg.Workers {
 		// Statically configured workers start healthy and are corrected
 		// by the first probe; jobs submitted before it complete their
 		// own liveness discovery by failing over.
-		co.workers[u] = &workerState{url: u, healthy: true}
+		co.workers[u] = &WorkerDoc{URL: u, Healthy: true}
 	}
 	co.wg.Add(1)
 	go co.healthLoop()
 	return co
-}
-
-func (co *Coordinator) addStat(name string, n uint64) {
-	co.statsMu.Lock()
-	co.stats.Add(name, n)
-	co.statsMu.Unlock()
 }
 
 // RegisterWorker adds (or refreshes) a shard. A re-registration marks
@@ -176,39 +156,43 @@ func (co *Coordinator) RegisterWorker(url string) {
 	defer co.mu.Unlock()
 	w, ok := co.workers[url]
 	if !ok {
-		w = &workerState{url: url, registered: true}
+		w = &WorkerDoc{URL: url}
 		co.workers[url] = w
 		co.cfg.Logger.Info("worker registered", "worker", url, "fleet", len(co.workers))
 	}
-	if !w.healthy {
-		co.cfg.Logger.Info("worker healthy", "worker", url, "via", "registration")
-	}
-	w.healthy = true
-	w.registered = true
-	w.lastSeen = time.Now()
+	w.Registered = true
+	co.markHealthyLocked(w, "registration")
 }
 
-// workerDocs snapshots the fleet for the API.
+// markHealthyLocked records a passed probe or a registration. Caller
+// holds the mutex.
+func (co *Coordinator) markHealthyLocked(w *WorkerDoc, via string) {
+	if !w.Healthy {
+		co.cfg.Logger.Info("worker healthy", "worker", w.URL, "via", via)
+	}
+	w.Healthy = true
+	w.LastSeen = time.Now()
+}
+
+// workerDocs snapshots the fleet, sorted by URL.
 func (co *Coordinator) workerDocs() []WorkerDoc {
 	co.mu.Lock()
-	defer co.mu.Unlock()
 	docs := make([]WorkerDoc, 0, len(co.workers))
 	for _, w := range co.workers {
-		docs = append(docs, WorkerDoc{
-			URL: w.url, Healthy: w.healthy, Registered: w.registered,
-			LastSeen: w.lastSeen, Jobs: w.jobs,
-		})
+		docs = append(docs, *w)
 	}
+	co.mu.Unlock()
+	sort.Slice(docs, func(i, k int) bool { return docs[i].URL < docs[k].URL })
 	return docs
 }
 
-// healthyWorkers snapshots the URLs currently believed routable.
-// Caller holds the mutex.
-func (co *Coordinator) healthyWorkersLocked() []string {
-	urls := make([]string, 0, len(co.workers))
-	for _, w := range co.workers {
-		if w.healthy {
-			urls = append(urls, w.url)
+// healthy lists the shards in docs that pass readiness probes — the
+// ones jobs may be routed to.
+func healthy(docs []WorkerDoc) []string {
+	var urls []string
+	for _, d := range docs {
+		if d.Healthy {
+			urls = append(urls, d.URL)
 		}
 	}
 	return urls
@@ -220,11 +204,11 @@ func (co *Coordinator) markUnhealthy(url, why string) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	w, ok := co.workers[url]
-	if !ok || !w.healthy {
+	if !ok || !w.Healthy {
 		return
 	}
-	w.healthy = false
-	co.addStat("coord.worker_down", 1)
+	w.Healthy = false
+	co.Count("worker_down", 1)
 	co.cfg.Logger.Warn("worker unhealthy", "worker", url, "why", why)
 }
 
@@ -249,150 +233,85 @@ func (co *Coordinator) healthLoop() {
 		}
 		co.mu.Unlock()
 		for _, u := range urls {
-			healthy := co.probe(u)
+			if !co.probe(u) {
+				co.markUnhealthy(u, "readyz probe failed")
+				continue
+			}
 			co.mu.Lock()
-			w, ok := co.workers[u]
-			if ok {
-				if healthy {
-					if !w.healthy {
-						co.cfg.Logger.Info("worker healthy", "worker", u, "via", "probe")
-					}
-					w.healthy = true
-					w.lastSeen = time.Now()
-				} else if w.healthy {
-					w.healthy = false
-					co.addStat("coord.worker_down", 1)
-					co.cfg.Logger.Warn("worker unhealthy", "worker", u, "why", "readyz probe failed")
-				}
+			if w, ok := co.workers[u]; ok {
+				co.markHealthyLocked(w, "probe")
 			}
 			co.mu.Unlock()
 		}
 	}
 }
 
-// probe is one readiness check.
+// probe is one readiness check, bounded by the probe period.
 func (co *Coordinator) probe(url string) bool {
-	ctx, cancel := context.WithTimeout(co.baseCtx, co.cfg.HealthInterval)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/readyz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := co.client.Do(req)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	_, err := co.get(co.baseCtx, url+"/readyz", 1<<16, co.cfg.HealthInterval)
+	return err == nil
 }
 
 // Submission outcomes forward() distinguishes for the HTTP layer.
 var (
 	errAllSaturated   = errors.New("every reachable shard is saturated; retry shortly")
 	errNoWorkers      = errors.New("no healthy workers")
-	errDraining       = errors.New("coordinator is draining; not accepting jobs")
 	errAttemptsSpent  = errors.New("job re-routed too many times")
 	errWorkerRejected = errors.New("worker rejected the spec")
 )
 
-// submit registers a submission, answering from the persistent store
-// or joining an in-flight duplicate when possible; otherwise it
-// forwards the job to its rendezvous shard synchronously and hands
-// the accepted job to a watcher goroutine. The returned status is the
-// HTTP status to answer with; joined marks a single-flight join.
-func (co *Coordinator) submit(spec exp.JobSpec, requestID string, remote obs.SpanContext) (j *cjob, status int, joined bool, err error) {
-	key := spec.Key()
-	co.mu.Lock()
-	co.addStat("coord.jobs_submitted", 1)
-	if co.draining {
-		co.mu.Unlock()
-		return nil, http.StatusServiceUnavailable, false, errDraining
-	}
-	if dup, ok := co.inflight[key]; ok {
-		// Single-flight: identical concurrent submissions collapse onto
-		// the routed job; one engine run serves them all.
-		co.addStat("coord.singleflight_hits", 1)
-		co.cfg.Logger.Info("job joined in-flight duplicate",
-			"job_id", dup.id, "request_id", requestID, "experiment", spec.Experiment)
-		co.mu.Unlock()
-		return dup, http.StatusAccepted, true, nil
-	}
-	if co.cfg.Store != nil {
-		switch result, ok, serr := co.cfg.Store.Get(key); {
-		case serr != nil:
-			co.addStat("coord.store_errors", 1)
-			co.cfg.Logger.Warn("result store read failed",
-				"key", key, "request_id", requestID, "err", serr.Error())
-		case ok:
-			co.addStat("coord.store_hits", 1)
-			j := co.newJobLocked(spec, key, requestID, remote)
-			j.completeFromStoreLocked(result)
-			co.cfg.Logger.Info("job served from store",
-				"job_id", j.id, "request_id", requestID, "experiment", spec.Experiment)
-			co.mu.Unlock()
-			return j, http.StatusOK, false, nil
-		}
-	}
-	j = co.newJobLocked(spec, key, requestID, remote)
-	co.inflight[key] = j
-	co.mu.Unlock()
+// routedJob is one job as the forwarding executor tracks it. Admit
+// and then the job's watcher own it in turn, so it needs no lock.
+type routedJob struct {
+	*server.Job
+	attempts int // forwards consumed, including re-routes
+}
 
-	// First forward happens on the submitter's request so saturation
-	// (429) and fleet loss (503) surface synchronously with the right
-	// status; after acceptance a watcher owns the job.
-	ctx, cancel := context.WithCancel(co.baseCtx)
-	co.mu.Lock()
-	j.cancel = cancel
-	co.mu.Unlock()
-	worker, remoteID, ferr := co.forward(ctx, j)
-	if ferr != nil {
-		cancel()
-		co.fail(j, ferr)
-		switch {
-		case errors.Is(ferr, errAllSaturated):
-			return j, http.StatusTooManyRequests, false, ferr
-		case errors.Is(ferr, errWorkerRejected):
-			return j, http.StatusBadGateway, false, ferr
-		default:
-			return j, http.StatusServiceUnavailable, false, ferr
-		}
+// Admit forwards the job to its rendezvous shard synchronously, so
+// saturation (429), version skew (502) and fleet loss (503) surface on
+// the submitter's request with the right status; after acceptance a
+// watcher goroutine owns the job.
+func (co *Coordinator) Admit(j *server.Job) (int, error) {
+	rj := &routedJob{Job: j}
+	worker, remoteID, err := co.forward(rj)
+	switch {
+	case err == nil:
+	case errors.Is(err, errAllSaturated):
+		return http.StatusTooManyRequests, err
+	case errors.Is(err, errWorkerRejected):
+		return http.StatusBadGateway, err
+	default:
+		return http.StatusServiceUnavailable, err
 	}
 	co.wg.Add(1)
 	go func() {
 		defer co.wg.Done()
-		defer cancel()
-		co.watch(ctx, j, worker, remoteID)
+		co.watch(rj, worker, remoteID)
 	}()
-	return j, http.StatusAccepted, false, nil
+	return http.StatusAccepted, nil
 }
 
 // forward routes one job to the best healthy shard: rendezvous order,
 // skipping workers that refuse. A connection error or 5xx marks the
 // worker unhealthy and moves on; 429 notes saturation and moves on.
 // On acceptance the worker's job ID is returned for watching.
-func (co *Coordinator) forward(ctx context.Context, j *cjob) (worker, remoteID string, err error) {
-	body, err := json.Marshal(j.spec)
+func (co *Coordinator) forward(j *routedJob) (worker, remoteID string, err error) {
+	ctx := j.Context()
+	body, err := json.Marshal(j.Spec())
 	if err != nil {
 		return "", "", fmt.Errorf("encoding spec: %w", err)
 	}
-	co.mu.Lock()
-	candidates := Rank(j.key, co.healthyWorkersLocked())
-	attempt := j.attempts
-	co.mu.Unlock()
+	candidates := Rank(j.Key(), healthy(co.workerDocs()))
 	if len(candidates) == 0 {
 		return "", "", errNoWorkers
 	}
 	saturated := false
 	for _, w := range candidates {
-		if attempt >= co.cfg.ForwardAttempts {
+		if j.attempts >= co.cfg.ForwardAttempts {
 			return "", "", errAttemptsSpent
 		}
-		attempt++
+		j.attempts++
 		doc, status, ferr := co.postJob(ctx, w, body, j)
-		co.mu.Lock()
-		j.attempts = attempt
-		co.mu.Unlock()
 		switch {
 		case ferr != nil:
 			if ctx.Err() != nil {
@@ -401,26 +320,20 @@ func (co *Coordinator) forward(ctx context.Context, j *cjob) (worker, remoteID s
 			co.markUnhealthy(w, ferr.Error())
 			continue
 		case status == http.StatusOK || status == http.StatusAccepted:
+			j.Start(w)
 			co.mu.Lock()
-			j.worker = w
-			j.remoteID = doc.ID
-			if j.state == server.StateQueued {
-				j.state = server.StateRunning
-				j.started = time.Now()
-			}
-			j.notifySubs()
 			if ws, ok := co.workers[w]; ok {
-				ws.jobs++
+				ws.Jobs++
 			}
 			co.mu.Unlock()
-			co.addStat("coord.jobs_forwarded", 1)
+			co.Count("jobs_forwarded", 1)
 			co.cfg.Logger.Info("job forwarded",
-				"job_id", j.id, "worker", w, "remote_id", doc.ID,
-				"attempt", attempt, "cached", doc.Cached)
+				"job_id", j.ID(), "worker", w, "remote_id", doc.ID,
+				"attempt", j.attempts, "cached", doc.Cached)
 			return w, doc.ID, nil
 		case status == http.StatusTooManyRequests:
 			saturated = true
-			co.cfg.Logger.Info("worker saturated", "job_id", j.id, "worker", w)
+			co.cfg.Logger.Info("worker saturated", "job_id", j.ID(), "worker", w)
 			continue
 		case status == http.StatusServiceUnavailable:
 			co.markUnhealthy(w, "draining")
@@ -429,7 +342,7 @@ func (co *Coordinator) forward(ctx context.Context, j *cjob) (worker, remoteID s
 			// The coordinator validated this spec; a worker 400 means
 			// version skew, and another worker may be newer.
 			co.cfg.Logger.Warn("worker rejected spec",
-				"job_id", j.id, "worker", w, "err", doc.Error)
+				"job_id", j.ID(), "worker", w, "err", doc.Error)
 			err = fmt.Errorf("%w: %s", errWorkerRejected, doc.Error)
 			continue
 		default:
@@ -451,7 +364,7 @@ func (co *Coordinator) forward(ctx context.Context, j *cjob) (worker, remoteID s
 // traceparent rides along, so the worker's job trace joins the
 // coordinator's; the worker's error body (if any) is decoded into the
 // returned doc's Error.
-func (co *Coordinator) postJob(ctx context.Context, worker string, body []byte, j *cjob) (server.JobDoc, int, error) {
+func (co *Coordinator) postJob(ctx context.Context, worker string, body []byte, j *routedJob) (server.JobDoc, int, error) {
 	var doc server.JobDoc
 	ctx, cancel := context.WithTimeout(ctx, co.cfg.ForwardTimeout)
 	defer cancel()
@@ -461,13 +374,11 @@ func (co *Coordinator) postJob(ctx context.Context, worker string, body []byte, 
 		return doc, 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if j.requestID != "" {
-		req.Header.Set("X-Request-ID", j.requestID)
+	if j.RequestID() != "" {
+		req.Header.Set("X-Request-ID", j.RequestID())
 	}
-	co.mu.Lock()
-	fwd := j.tracer.StartSpan(j.span.Context(), "forward")
+	fwd := j.StartSpan("forward")
 	fwd.SetAttr("worker", worker)
-	co.mu.Unlock()
 	obs.PropagateTraceparent(req.Header, fwd.Context())
 	resp, err := co.client.Do(req)
 	fwd.End()
@@ -501,31 +412,28 @@ func (co *Coordinator) postJob(ctx context.Context, worker string, body []byte, 
 // terminal event means the worker died: it is marked unhealthy and
 // the job re-forwards to the next shard in rendezvous order, which is
 // safe because the simulation is deterministic.
-func (co *Coordinator) watch(ctx context.Context, j *cjob, worker, remoteID string) {
+func (co *Coordinator) watch(j *routedJob, worker, remoteID string) {
+	ctx := j.Context()
 	for {
 		state, doc, err := co.follow(ctx, j, worker, remoteID)
 		if err == nil {
 			switch state {
 			case server.StateDone:
-				result, rerr := co.fetchResult(ctx, worker, remoteID)
-				if rerr != nil {
-					// Completed on the worker but unretrievable (it died
-					// between the event and the fetch): re-run elsewhere.
-					co.cfg.Logger.Warn("result fetch failed",
-						"job_id", j.id, "worker", worker, "err", rerr.Error())
-					co.markUnhealthy(worker, "result fetch failed")
-				} else {
-					co.complete(j, result)
+				result, rerr := co.get(ctx, worker+"/v1/jobs/"+remoteID+"/result", 64<<20, co.cfg.ForwardTimeout)
+				if rerr == nil {
+					j.Finish(result, nil)
 					return
 				}
+				// Completed on the worker but unretrievable (it died
+				// between the event and the fetch): re-run elsewhere.
+				co.cfg.Logger.Warn("result fetch failed",
+					"job_id", j.ID(), "worker", worker, "err", rerr.Error())
+				co.markUnhealthy(worker, "result fetch failed")
 			case server.StateFailed:
-				co.fail(j, errors.New(doc.Error))
+				j.Finish(nil, errors.New(doc.Error))
 				return
 			case server.StateCancelled:
-				co.mu.Lock()
-				co.terminalizeLocked(j, server.StateCancelled, doc.Error)
-				co.mu.Unlock()
-				co.addStat("coord.jobs_cancelled", 1)
+				j.Finish(nil, context.Canceled)
 				return
 			}
 		}
@@ -533,30 +441,27 @@ func (co *Coordinator) watch(ctx context.Context, j *cjob, worker, remoteID stri
 			// Cancelled coordinator-side (DELETE or drain): tell the
 			// worker, best-effort, and finish.
 			co.cancelRemote(worker, remoteID)
-			co.mu.Lock()
-			co.terminalizeLocked(j, server.StateCancelled, context.Canceled.Error())
-			co.mu.Unlock()
-			co.addStat("coord.jobs_cancelled", 1)
+			j.Finish(nil, context.Canceled)
 			return
 		}
 		if err != nil {
 			co.markUnhealthy(worker, fmt.Sprintf("event stream broke: %v", err))
 		}
-		co.addStat("coord.forward_retries", 1)
-		co.cfg.Logger.Warn("re-routing job", "job_id", j.id, "lost_worker", worker)
+		co.Count("forward_retries", 1)
+		co.cfg.Logger.Warn("re-routing job", "job_id", j.ID(), "lost_worker", worker)
 		var ferr error
-		worker, remoteID, ferr = co.forward(ctx, j)
+		worker, remoteID, ferr = co.forward(j)
 		if ferr != nil {
-			co.fail(j, fmt.Errorf("re-routing after worker loss: %w", ferr))
+			j.Finish(nil, fmt.Errorf("re-routing after worker loss: %w", ferr))
 			return
 		}
 	}
 }
 
 // follow consumes one worker's SSE stream for the job until a
-// terminal event or a stream error. Progress events update the local
-// record; the terminal event's state and doc are returned.
-func (co *Coordinator) follow(ctx context.Context, j *cjob, worker, remoteID string) (string, server.JobDoc, error) {
+// terminal event or a stream error. Progress events are republished;
+// the terminal event's state and doc are returned.
+func (co *Coordinator) follow(ctx context.Context, j *routedJob, worker, remoteID string) (string, server.JobDoc, error) {
 	var doc server.JobDoc
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		worker+"/v1/jobs/"+remoteID+"/events", nil)
@@ -582,10 +487,7 @@ func (co *Coordinator) follow(ctx context.Context, j *cjob, worker, remoteID str
 		case "progress":
 			var p server.ProgressEvent
 			if json.Unmarshal(ev.data, &p) == nil {
-				co.mu.Lock()
-				j.progress, j.hasProg = p, true
-				j.notifySubs()
-				co.mu.Unlock()
+				j.Progress(p)
 			}
 		case server.StateDone, server.StateFailed, server.StateCancelled:
 			if err := json.Unmarshal(ev.data, &doc); err != nil {
@@ -596,13 +498,14 @@ func (co *Coordinator) follow(ctx context.Context, j *cjob, worker, remoteID str
 	}
 }
 
-// fetchResult retrieves the raw result bytes for a completed remote
-// job — exactly what the worker would serve any client.
-func (co *Coordinator) fetchResult(ctx context.Context, worker, remoteID string) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, co.cfg.ForwardTimeout)
+// get fetches url from a worker and returns its body (at most limit
+// bytes) — a completed job's raw result, exactly what the worker would
+// serve any client, its /metrics exposition, or its readiness. Any
+// status but 200 is an error; timeout bounds the exchange.
+func (co *Coordinator) get(ctx context.Context, url string, limit int64, timeout time.Duration) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		worker+"/v1/jobs/"+remoteID+"/result", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -613,9 +516,9 @@ func (co *Coordinator) fetchResult(ctx context.Context, worker, remoteID string)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		return nil, fmt.Errorf("result: status %d", resp.StatusCode)
+		return nil, fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
 	}
-	return io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	return io.ReadAll(io.LimitReader(resp.Body, limit))
 }
 
 // cancelRemote forwards a cancellation, best-effort.
@@ -633,109 +536,9 @@ func (co *Coordinator) cancelRemote(worker, remoteID string) {
 	}
 }
 
-// complete finishes a job with its result: write-through to the
-// store, then publish.
-func (co *Coordinator) complete(j *cjob, result []byte) {
-	if co.cfg.Store != nil {
-		if serr := co.cfg.Store.Put(j.key, result); serr != nil {
-			co.addStat("coord.store_errors", 1)
-			co.cfg.Logger.Warn("result store write failed", "key", j.key, "err", serr.Error())
-		} else {
-			co.addStat("coord.store_puts", 1)
-		}
-	}
-	co.mu.Lock()
-	j.result = result
-	co.terminalizeLocked(j, server.StateDone, "")
-	co.mu.Unlock()
-	co.addStat("coord.jobs_completed", 1)
-	co.cfg.Logger.Info("job finished", "job_id", j.id, "worker", j.worker,
-		"state", server.StateDone, "attempts", j.attempts)
-}
-
-// fail finishes a job with an error.
-func (co *Coordinator) fail(j *cjob, err error) {
-	co.mu.Lock()
-	co.terminalizeLocked(j, server.StateFailed, err.Error())
-	co.mu.Unlock()
-	co.addStat("coord.jobs_failed", 1)
-	co.cfg.Logger.Error("job failed", "job_id", j.id, "err", err.Error())
-}
-
-// cancelJob cancels a routed job. The watcher observes the context
-// cancellation, forwards DELETE to the worker and terminalizes.
-func (co *Coordinator) cancelJob(id string) (*cjob, error) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	j, ok := co.jobs[id]
-	if !ok {
-		return nil, errNoSuchJob
-	}
-	if j.terminal() {
-		return j, fmt.Errorf("job %s is already %s", id, j.state)
-	}
-	if j.cancel != nil {
-		j.cancel()
-	}
-	return j, nil
-}
-
-var errNoSuchJob = errors.New("no such job")
-
-// Drain stops intake, cancels the health loop, and gives routed jobs
-// until ctx expires to finish before cancelling them.
-func (co *Coordinator) Drain(ctx context.Context) error {
-	co.mu.Lock()
-	co.draining = true
-	co.mu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		co.waitJobs()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		co.mu.Lock()
-		forced := 0
-		for _, j := range co.order {
-			if !j.terminal() && j.cancel != nil {
-				j.cancel()
-				forced++
-			}
-		}
-		co.mu.Unlock()
-		err = fmt.Errorf("drain grace period expired; cancelled %d routed jobs", forced)
-	}
+// Close stops the health loop and waits for the job watchers. Drain
+// calls it once every routed job is terminal.
+func (co *Coordinator) Close() {
 	co.baseCancel()
 	co.wg.Wait()
-	return err
-}
-
-// waitJobs blocks until every registered job is terminal.
-func (co *Coordinator) waitJobs() {
-	for {
-		co.mu.Lock()
-		var pending *cjob
-		for _, j := range co.order {
-			if !j.terminal() {
-				pending = j
-				break
-			}
-		}
-		co.mu.Unlock()
-		if pending == nil {
-			return
-		}
-		<-pending.done
-	}
-}
-
-// Draining reports whether Drain has begun.
-func (co *Coordinator) Draining() bool {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return co.draining
 }

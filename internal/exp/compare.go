@@ -235,7 +235,6 @@ func compareForkLeg(ctx context.Context, pool Pool, spec workload.Spec, fp ForkP
 		return runMechanism(ctx, spec, fp, overlayMode)
 	}
 	v, err := pool.Snapshots.getOrBuild(forkFamilyKey(spec, fp), func() (any, error) {
-		pool.Snap.addFamily()
 		return warmForkFamily(ctx, spec, fp)
 	})
 	if err != nil {
@@ -261,7 +260,6 @@ func compareSpMVLeg(ctx context.Context, pool Pool, backend string, limit int) (
 			}
 			key := fmt.Sprintf("compare/%s/pages=%d", backend, cfg.MemoryPages)
 			v, err := pool.Snapshots.getOrBuild(key, func() (any, error) {
-				pool.Snap.addFamily()
 				return warmPristineFamily(ctx, key, cfg)
 			})
 			if err != nil {

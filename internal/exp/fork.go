@@ -7,7 +7,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/arch"
@@ -232,11 +231,6 @@ type forkFamily struct {
 	fetched uint64 // trace records the warm-up consumed
 	pid     arch.PID
 	warmUS  uint64 // wall clock the warm-up cost (≈ saved per reuse)
-
-	// resumes counts forks taken from this family over its lifetime;
-	// every resume past the first skipped a warm-up that the cold path
-	// would have run.
-	resumes atomic.Uint64
 }
 
 // forkFamilyKey canonicalises the knobs that shape a fork family's warm
@@ -321,7 +315,7 @@ func resumeMechanism(ctx context.Context, pool Pool, fam *forkFamily, params For
 	if err != nil {
 		return MechanismResult{}, err
 	}
-	pool.Snap.addFork(f.Mem.BytesCopied(), fam.resumes.Add(1) > 1, fam.warmUS)
+	pool.Snap.addFork(forkFamilyKey(fam.spec, params), f.Mem.BytesCopied(), fam.warmUS)
 	return r, nil
 }
 
@@ -389,7 +383,6 @@ func RunForkSuitePool(ctx context.Context, pool Pool, params ForkParams, names [
 	families, err := harness.Map(ctx, pool.opts("fork.warm"), specs,
 		func(jobCtx context.Context, s workload.Spec, _ int) (*forkFamily, error) {
 			v, err := pool.Snapshots.getOrBuild(forkFamilyKey(s, params), func() (any, error) {
-				pool.Snap.addFamily()
 				return warmForkFamily(jobCtx, s, params)
 			})
 			if err != nil {

@@ -29,32 +29,39 @@ const (
 )
 
 // SnapshotStats tallies warm-state reuse across one experiment run.
-// All fields are updated atomically; a nil *SnapshotStats is a valid
-// no-op sink.
+// Safe for concurrent use; a nil *SnapshotStats is a valid no-op sink.
 type SnapshotStats struct {
-	families      atomic.Uint64
-	forks         atomic.Uint64
-	warmupsReused atomic.Uint64
-	bytesCopied   atomic.Uint64
-	warmupSavedUS atomic.Uint64 // microseconds of warm-up wall clock skipped
+	mu            sync.Mutex
+	forked        map[string]bool // families this run forked at least once
+	forks         uint64
+	warmupsReused uint64
+	bytesCopied   uint64
+	warmupSavedUS uint64 // microseconds of warm-up wall clock skipped
 }
 
-func (s *SnapshotStats) addFamily() {
-	if s != nil {
-		s.families.Add(1)
-	}
-}
-
-func (s *SnapshotStats) addFork(bytesCopied uint64, reusedWarmup bool, warmupSavedUS uint64) {
+// addFork tallies one run resumed from the family under key. A run's
+// first fork of each family stands for the warm-up the cold path
+// runs; every later one reused it. The tallies therefore depend only
+// on the run's own forks — never on whether the family came out of a
+// cross-job cache — so a served job exports exactly the counters of
+// the CLI run of the same spec.
+func (s *SnapshotStats) addFork(key string, bytesCopied, warmupSavedUS uint64) {
 	if s == nil {
 		return
 	}
-	s.forks.Add(1)
-	s.bytesCopied.Add(bytesCopied)
-	if reusedWarmup {
-		s.warmupsReused.Add(1)
-		s.warmupSavedUS.Add(warmupSavedUS)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.forks++
+	s.bytesCopied += bytesCopied
+	if s.forked[key] {
+		s.warmupsReused++
+		s.warmupSavedUS += warmupSavedUS
+		return
 	}
+	if s.forked == nil {
+		s.forked = make(map[string]bool)
+	}
+	s.forked[key] = true
 }
 
 // Provenance reduces the tallies to their exported form.
@@ -62,17 +69,19 @@ func (s *SnapshotStats) Provenance() SnapshotProvenance {
 	if s == nil {
 		return SnapshotProvenance{}
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return SnapshotProvenance{
-		Families:      s.families.Load(),
-		Forks:         s.forks.Load(),
-		WarmupsReused: s.warmupsReused.Load(),
-		BytesCopied:   s.bytesCopied.Load(),
-		WarmupMSSaved: float64(s.warmupSavedUS.Load()) / 1000,
+		Families:      uint64(len(s.forked)),
+		Forks:         s.forks,
+		WarmupsReused: s.warmupsReused,
+		BytesCopied:   s.bytesCopied,
+		WarmupMSSaved: float64(s.warmupSavedUS) / 1000,
 	}
 }
 
 // SnapshotProvenance is the exported warm-state-reuse record: how many
-// family snapshots were built, how many runs resumed from one, and what
+// family snapshots the run used, how many runs resumed from one, and what
 // the reuse cost (copy-on-write bytes) and saved (warm-up wall clock).
 type SnapshotProvenance struct {
 	Families      uint64  `json:"families"`

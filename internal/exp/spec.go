@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/sparse"
 	"repro/internal/workload"
 )
 
@@ -308,8 +309,10 @@ func (s JobSpec) Validate() error {
 		if n.Points < 2 {
 			problems = append(problems, fmt.Sprintf("invalid points %d: need at least 2 sweep points", n.Points))
 		}
-		if n.Rows < 8 {
+		if n.Rows < sparse.ValuesPerLine {
 			problems = append(problems, fmt.Sprintf("invalid rows %d: need at least one cache line of values", n.Rows))
+		} else if n.Rows%sparse.ValuesPerLine != 0 {
+			problems = append(problems, fmt.Sprintf("invalid rows %d: must be a multiple of %d (whole cache lines of values)", n.Rows, sparse.ValuesPerLine))
 		}
 	}
 	if s.Experiment == "omsstress" {

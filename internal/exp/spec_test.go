@@ -55,6 +55,7 @@ func TestSpecValidation(t *testing.T) {
 		{"negative matrices", JobSpec{Experiment: "linesize", Matrices: -2}, "matrices"},
 		{"sweep one point", JobSpec{Experiment: "sweep", Points: 1}, "at least 2 sweep points"},
 		{"sweep tiny rows", JobSpec{Experiment: "sweep", Rows: 4}, "cache line"},
+		{"sweep rows not whole lines", JobSpec{Experiment: "sweep", Rows: 12}, "multiple of 8"},
 		{"ok omsstress", JobSpec{Experiment: "omsstress", OMSCapacity: 8, Shared: true}, ""},
 		{"omsstress with bench", JobSpec{Experiment: "omsstress", Bench: "mcf"}, `"bench" does not apply`},
 		{"omsstress with cold", JobSpec{Experiment: "omsstress", Cold: true}, `"cold" does not apply`},

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -65,11 +64,6 @@ func spmvConfig(denseBytes int) core.Config {
 type pristineFamily struct {
 	snap   *core.Snapshot
 	warmUS uint64 // wall clock the build+capture cost (≈ saved per reuse)
-
-	// resumes counts forks taken from this family over its lifetime;
-	// every resume past the first skipped a framework build that the
-	// cold path would have run.
-	resumes atomic.Uint64
 }
 
 // warmPristineFamily builds one framework of the given config and
@@ -95,7 +89,7 @@ func (fam *pristineFamily) fork(ctx context.Context, pool Pool, key string) (*co
 	f := core.NewFromSnapshot(fam.snap)
 	sp.End()
 	done := func(f *core.Framework) {
-		pool.Snap.addFork(f.Mem.BytesCopied(), fam.resumes.Add(1) > 1, fam.warmUS)
+		pool.Snap.addFork(key, f.Mem.BytesCopied(), fam.warmUS)
 	}
 	return f, done
 }
@@ -266,7 +260,6 @@ func RunFigure10Pool(ctx context.Context, pool Pool, limit int, withDense bool) 
 			cfg := spmvConfig(m.DenseBytes())
 			key := fmt.Sprintf("spmv/pages=%d", cfg.MemoryPages)
 			v, err := snaps.getOrBuild(key, func() (any, error) {
-				pool.Snap.addFamily()
 				return warmPristineFamily(jobCtx, key, cfg)
 			})
 			if err != nil {

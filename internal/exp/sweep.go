@@ -95,6 +95,7 @@ func runSweepDense(f *core.Framework, m *sparse.Matrix) (uint64, error) {
 type sweepFamily struct {
 	pristineFamily
 	denseCycles uint64
+	denseBytes  uint64 // copy-on-write bytes the dense baseline's fork copied
 }
 
 // sweepFamilyKey canonicalises the knob that shapes a sweep family's
@@ -107,7 +108,7 @@ func sweepFamilyKey(rows int) string {
 // warmSweepFamily captures a pristine framework for the sweep's
 // configuration and measures the dense baseline once, on a fork of
 // that capture — exactly what the cold path measures per point.
-func warmSweepFamily(ctx context.Context, pool Pool, points, rows int) (*sweepFamily, error) {
+func warmSweepFamily(ctx context.Context, points, rows int) (*sweepFamily, error) {
 	key := sweepFamilyKey(rows)
 	start := time.Now()
 	f, err := core.New(spmvConfig(rows * rows * 8))
@@ -118,12 +119,12 @@ func warmSweepFamily(ctx context.Context, pool Pool, points, rows int) (*sweepFa
 	fam := &sweepFamily{pristineFamily: pristineFamily{snap: f.Snapshot()}}
 	sp.End()
 
-	df, done := fam.fork(ctx, pool, key)
+	df, _ := fam.fork(ctx, Pool{}, key) // tallied per run by RunSparsitySweepPool
 	fam.denseCycles, err = runSweepDense(df, sweepMatrix(0, points, rows))
 	if err != nil {
 		return nil, err
 	}
-	done(df)
+	fam.denseBytes = df.Mem.BytesCopied()
 	fam.warmUS = uint64(time.Since(start).Microseconds())
 	return fam, nil
 }
@@ -177,13 +178,15 @@ func RunSparsitySweepPool(ctx context.Context, pool Pool, points, rows int) ([]S
 	}
 
 	v, err := pool.Snapshots.getOrBuild(sweepFamilyKey(rows), func() (any, error) {
-		pool.Snap.addFamily()
-		return warmSweepFamily(ctx, pool, points, rows)
+		return warmSweepFamily(ctx, points, rows)
 	})
 	if err != nil {
 		return nil, err
 	}
 	fam := v.(*sweepFamily)
+	// The dense baseline ran on a fork of the family when it was built;
+	// every run that uses the family tallies that fork, cached or not.
+	pool.Snap.addFork(sweepFamilyKey(rows), fam.denseBytes, fam.warmUS)
 	return harness.Map(ctx, pool.opts("sweep"), indices,
 		func(jobCtx context.Context, i, _ int) (SweepResult, error) {
 			m := sweepMatrix(i, points, rows)

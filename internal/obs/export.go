@@ -32,12 +32,7 @@ func BuildTree(spans []Span) []*SpanNode {
 	if len(spans) == 0 {
 		return nil
 	}
-	base := spans[0].Start
-	for _, sp := range spans[1:] {
-		if sp.Start.Before(base) {
-			base = sp.Start
-		}
-	}
+	base := TraceStart(spans)
 	nodes := make(map[SpanID]*SpanNode, len(spans))
 	for i := range spans {
 		nodes[spans[i].ID] = spanNode(&spans[i], base)
@@ -67,21 +62,40 @@ func BuildTree(spans []Span) []*SpanNode {
 	return roots
 }
 
+// TraceStart is the earliest start among spans (zero when there are
+// none): every export measures span offsets from it.
+func TraceStart(spans []Span) time.Time {
+	var base time.Time
+	for i, sp := range spans {
+		if i == 0 || sp.Start.Before(base) {
+			base = sp.Start
+		}
+	}
+	return base
+}
+
+// attrMap renders span attributes as a map (nil when there are none).
+func attrMap(attrs []Attr) map[string]string {
+	if len(attrs) == 0 {
+		return nil
+	}
+	m := make(map[string]string, len(attrs))
+	for _, a := range attrs {
+		m[a.Key] = a.Value
+	}
+	return m
+}
+
 func spanNode(sp *Span, base time.Time) *SpanNode {
 	n := &SpanNode{
 		Name:    sp.Name,
 		SpanID:  sp.ID.String(),
 		StartUS: sp.Start.Sub(base).Microseconds(),
 		DurUS:   sp.Dur.Microseconds(),
+		Attrs:   attrMap(sp.Attrs),
 	}
 	if !sp.Parent.IsZero() {
 		n.ParentID = sp.Parent.String()
-	}
-	if len(sp.Attrs) > 0 {
-		n.Attrs = make(map[string]string, len(sp.Attrs))
-		for _, a := range sp.Attrs {
-			n.Attrs[a.Key] = a.Value
-		}
 	}
 	return n
 }
@@ -109,15 +123,10 @@ func WriteSpansJSONL(w io.Writer, spans []Span) error {
 			Name:    sp.Name,
 			Start:   sp.Start,
 			DurUS:   sp.Dur.Microseconds(),
+			Attrs:   attrMap(sp.Attrs),
 		}
 		if !sp.Parent.IsZero() {
 			line.ParentID = sp.Parent.String()
-		}
-		if len(sp.Attrs) > 0 {
-			line.Attrs = make(map[string]string, len(sp.Attrs))
-			for _, a := range sp.Attrs {
-				line.Attrs[a.Key] = a.Value
-			}
 		}
 		if err := enc.Encode(line); err != nil {
 			return err
@@ -154,12 +163,7 @@ func ChromeRecords(spans []Span) ([]json.RawMessage, error) {
 	if len(spans) == 0 {
 		return nil, nil
 	}
-	base := spans[0].Start
-	for _, sp := range spans[1:] {
-		if sp.Start.Before(base) {
-			base = sp.Start
-		}
-	}
+	base := TraceStart(spans)
 	meta := map[string]interface{}{
 		"name": "process_name",
 		"ph":   "M",
@@ -182,12 +186,7 @@ func ChromeRecords(spans []Span) ([]json.RawMessage, error) {
 			Dur:  sp.Dur.Microseconds(),
 			Pid:  ChromeSpanPid,
 			Tid:  0,
-		}
-		if len(sp.Attrs) > 0 {
-			ce.Args = make(map[string]string, len(sp.Attrs))
-			for _, a := range sp.Attrs {
-				ce.Args[a.Key] = a.Value
-			}
+			Args: attrMap(sp.Attrs),
 		}
 		raw, err := json.Marshal(ce)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -19,24 +20,23 @@ import (
 // few hundred bytes.
 const maxSpecBytes = 1 << 20
 
-// Handler returns the service's HTTP routes (see docs/API.md).
-func Handler(s *Server) http.Handler {
+// Handler returns the service's HTTP routes (see docs/API.md): the job
+// API, health, metrics, and whatever the executor adds.
+func (fe *FrontEnd) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.HandleFunc("GET /readyz", s.handleReady)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", s.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
-	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	return instrument(s, mux)
+	mux.HandleFunc("GET /healthz", fe.handleHealth(false))
+	mux.HandleFunc("GET /readyz", fe.handleHealth(true))
+	mux.HandleFunc("GET /metrics", fe.handleMetrics)
+	mux.HandleFunc("POST /v1/jobs", fe.handleSubmit)
+	mux.HandleFunc("GET /v1/jobs", fe.handleList)
+	mux.HandleFunc("GET /v1/jobs/{id}", fe.handleGet)
+	mux.HandleFunc("GET /v1/jobs/{id}/result", fe.handleResult)
+	mux.HandleFunc("GET /v1/jobs/{id}/events", fe.handleEvents)
+	mux.HandleFunc("GET /v1/jobs/{id}/trace", fe.handleTrace)
+	mux.HandleFunc("DELETE /v1/jobs/{id}", fe.handleCancel)
+	fe.exec.Routes(mux)
+	return fe.instrument(mux)
 }
-
-// Handler is the method form of the package-level Handler.
-func (s *Server) Handler() http.Handler { return Handler(s) }
 
 // statusWriter captures the response status for the request middleware.
 // It forwards Flush so SSE streaming keeps working through the wrap.
@@ -77,7 +77,7 @@ func requestID(r *http.Request) string {
 // echoes it as X-Request-ID, counts the request and its response
 // status — every status, labelled by code, satisfying the error-path
 // accounting — and logs one structured record per request.
-func instrument(s *Server, next http.Handler) http.Handler {
+func (fe *FrontEnd) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		reqID := r.Header.Get("X-Request-ID")
 		if reqID == "" {
@@ -86,23 +86,19 @@ func instrument(s *Server, next http.Handler) http.Handler {
 		w.Header().Set("X-Request-ID", reqID)
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
-		s.addStat("server.http_requests", 1)
-		ctx := contextWithRequestID(r.Context(), reqID)
+		fe.Count("http_requests", 1)
+		ctx := context.WithValue(r.Context(), requestIDKey{}, reqID)
 		next.ServeHTTP(sw, r.WithContext(ctx))
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}
-		s.statsMu.Lock()
-		s.statusCounts[sw.status]++
-		s.statsMu.Unlock()
-		s.cfg.Logger.Info("http request",
+		fe.statsMu.Lock()
+		fe.statusCounts[sw.status]++
+		fe.statsMu.Unlock()
+		fe.cfg.Logger.Info("http request",
 			"method", r.Method, "path", r.URL.Path, "status", sw.status,
 			"request_id", reqID, "dur_ms", time.Since(start).Milliseconds())
 	})
-}
-
-func contextWithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, requestIDKey{}, id)
 }
 
 // errorBody is every non-2xx JSON response.
@@ -112,7 +108,8 @@ type errorBody struct {
 	JobID    string   `json:"job_id,omitempty"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+// WriteJSON answers with status and v as indented JSON.
+func WriteJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -120,65 +117,56 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
 }
 
-func writeError(w http.ResponseWriter, status int, err error, jobID string) {
+// WriteError answers with status and the error body every non-2xx
+// response carries (validation problems included).
+func WriteError(w http.ResponseWriter, status int, err error, jobID string) {
 	body := errorBody{Error: err.Error(), JobID: jobID}
 	var ve *exp.ValidationError
 	if errors.As(err, &ve) {
 		body.Problems = ve.Problems
 	}
-	writeJSON(w, status, body)
+	WriteJSON(w, status, body)
 }
 
-// healthDoc reports the process's live state: queue occupancy, job
-// counts by phase, and whether a drain has begun.
-type healthDoc struct {
-	Status        string `json:"status"`
-	QueueDepth    int    `json:"queue_depth"`
-	QueueCapacity int    `json:"queue_capacity"`
-	Queued        int    `json:"queued"`
-	Running       int    `json:"running"`
-	Draining      bool   `json:"draining"`
-}
-
-func (s *Server) health() healthDoc {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d := healthDoc{
-		Status:        "ok",
-		QueueDepth:    len(s.queue),
-		QueueCapacity: cap(s.queue),
-		Draining:      s.draining,
+// health renders the /healthz and /readyz document — drain state and
+// job counts by phase, plus the executor's own fields — and reports
+// readiness: not draining, and the executor can place jobs.
+func (fe *FrontEnd) health() (map[string]any, bool) {
+	fe.mu.Lock()
+	doc := map[string]any{"status": "ok", "draining": fe.draining}
+	if fe.draining {
+		doc["status"] = "draining"
 	}
-	if s.draining {
-		d.Status = "draining"
-	}
-	for _, j := range s.order {
+	queued, running := 0, 0
+	for _, j := range fe.order {
 		switch j.state {
 		case StateQueued:
-			d.Queued++
+			queued++
 		case StateRunning:
-			d.Running++
+			running++
 		}
 	}
-	return d
+	doc["queued"], doc["running"] = queued, running
+	draining := fe.draining
+	fe.mu.Unlock()
+	ready := fe.exec.Health(doc)
+	return doc, ready && !draining
 }
 
-// handleHealth is liveness: always 200 while the process can answer,
-// with the drain state and queue occupancy in the body. Readiness —
-// "send me traffic" — is /readyz, which flips to 503 during drain.
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.health())
-}
-
-// handleReady is readiness: 503 once Drain begins (new submissions
-// are already being refused), 200 otherwise.
-func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	doc := s.health()
-	if doc.Draining {
-		writeJSON(w, http.StatusServiceUnavailable, doc)
-		return
+// handleHealth serves liveness (/healthz: always 200 while the process
+// can answer) or, with readiness set, readiness (/readyz — "send me
+// traffic": 503 once Drain begins, when new submissions are already
+// refused, or while the executor cannot place jobs). Both carry the
+// drain state and executor occupancy in the body.
+func (fe *FrontEnd) handleHealth(readiness bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		doc, ready := fe.health()
+		status := http.StatusOK
+		if readiness && !ready {
+			status = http.StatusServiceUnavailable
+		}
+		WriteJSON(w, status, doc)
 	}
-	writeJSON(w, http.StatusOK, doc)
 }
 
 // handleSubmit accepts a JSON job spec. With ?wait=true the response
@@ -193,24 +181,24 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 // is adopted as the job trace's ID (the job's root span becomes a
 // child of the client's span); the response echoes the job's own trace
 // position in the same header.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+func (fe *FrontEnd) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	spec, err := exp.ParseJobSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err, "")
+		WriteError(w, http.StatusBadRequest, err, "")
 		return
 	}
 	remote, _ := obs.TraceparentFromHeader(r.Header)
-	j, status, joined, err := s.submit(spec, requestID(r), remote)
+	j, status, joined, err := fe.submit(spec, requestID(r), remote)
 	if err != nil {
 		if status == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After",
-				strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
+				strconv.Itoa(int((fe.cfg.RetryAfter+time.Second-1)/time.Second)))
 		}
 		jobID := ""
 		if j != nil {
 			jobID = j.id
 		}
-		writeError(w, status, err, jobID)
+		WriteError(w, status, err, jobID)
 		return
 	}
 	obs.PropagateTraceparent(w.Header(), j.span.Context())
@@ -233,11 +221,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return // client gave up; the job keeps running
 		}
 	}
-	s.mu.Lock()
+	fe.mu.Lock()
 	doc := j.doc(true)
-	s.mu.Unlock()
+	fe.mu.Unlock()
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	writeJSON(w, status, doc)
+	WriteJSON(w, status, doc)
 }
 
 func wantWait(r *http.Request) bool {
@@ -248,52 +236,52 @@ func wantWait(r *http.Request) bool {
 	return false
 }
 
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	docs := make([]JobDoc, 0, len(s.order))
-	for _, j := range s.order {
+func (fe *FrontEnd) handleList(w http.ResponseWriter, r *http.Request) {
+	fe.mu.Lock()
+	docs := make([]JobDoc, 0, len(fe.order))
+	for _, j := range fe.order {
 		docs = append(docs, j.doc(false))
 	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]interface{}{"jobs": docs})
+	fe.mu.Unlock()
+	WriteJSON(w, http.StatusOK, map[string]interface{}{"jobs": docs})
 }
 
 // lookup resolves the path's job id, answering 404 itself on a miss.
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*job, bool) {
-	s.mu.Lock()
-	j, ok := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
+func (fe *FrontEnd) lookup(w http.ResponseWriter, r *http.Request) (*Job, bool) {
+	fe.mu.Lock()
+	j, ok := fe.jobs[r.PathValue("id")]
+	fe.mu.Unlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no such job %q", r.PathValue("id")), "")
+		WriteError(w, http.StatusNotFound, fmt.Errorf("no such job %q", r.PathValue("id")), "")
 	}
 	return j, ok
 }
 
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(w, r)
+func (fe *FrontEnd) handleGet(w http.ResponseWriter, r *http.Request) {
+	j, ok := fe.lookup(w, r)
 	if !ok {
 		return
 	}
-	s.mu.Lock()
+	fe.mu.Lock()
 	doc := j.doc(true)
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, doc)
+	fe.mu.Unlock()
+	WriteJSON(w, http.StatusOK, doc)
 }
 
 // handleResult serves the raw export document — exactly the bytes the
 // equivalent CLI invocation would have written with -json. 409 until
 // the job is done.
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(w, r)
+func (fe *FrontEnd) handleResult(w http.ResponseWriter, r *http.Request) {
+	j, ok := fe.lookup(w, r)
 	if !ok {
 		return
 	}
-	s.mu.Lock()
+	fe.mu.Lock()
 	state := j.state
 	result := j.result
-	s.mu.Unlock()
+	fe.mu.Unlock()
 	if state != StateDone {
-		writeError(w, http.StatusConflict,
+		WriteError(w, http.StatusConflict,
 			fmt.Errorf("job %s is %s; no result to serve", j.id, state), j.id)
 		return
 	}
@@ -315,26 +303,28 @@ type TraceDoc struct {
 // handleTrace serves the job's span tree. Running jobs answer with the
 // spans recorded so far (the still-open root appears once the job
 // finishes); disabled tracing answers 404.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(w, r)
+func (fe *FrontEnd) handleTrace(w http.ResponseWriter, r *http.Request) {
+	j, ok := fe.lookup(w, r)
 	if !ok {
 		return
 	}
-	s.mu.Lock()
+	fe.mu.Lock()
 	doc := TraceDoc{
 		JobID:     j.id,
 		TraceID:   j.traceID(),
 		RequestID: j.requestID,
 		State:     j.state,
 	}
-	var spans []obs.Span
-	if j.tracer != nil {
-		spans = j.liveSpans()
-		doc.Dropped = j.tracer.Dropped()
+	// The terminal snapshot once the job is finished, the tracer's
+	// current contents while it runs.
+	spans := j.spans
+	if j.tracer != nil && spans == nil {
+		spans = j.tracer.Spans()
 	}
-	s.mu.Unlock()
+	doc.Dropped = j.tracer.Dropped()
+	fe.mu.Unlock()
 	if j.tracer == nil {
-		writeError(w, http.StatusNotFound,
+		WriteError(w, http.StatusNotFound,
 			fmt.Errorf("tracing is disabled; job %s carries no trace", j.id), j.id)
 		return
 	}
@@ -342,23 +332,23 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if doc.Spans == nil {
 		doc.Spans = []*obs.SpanNode{}
 	}
-	writeJSON(w, http.StatusOK, doc)
+	WriteJSON(w, http.StatusOK, doc)
 }
 
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, err := s.cancelJob(r.PathValue("id"))
+func (fe *FrontEnd) handleCancel(w http.ResponseWriter, r *http.Request) {
+	j, err := fe.cancelJob(r.PathValue("id"))
 	if errors.Is(err, errNoSuchJob) {
-		writeError(w, http.StatusNotFound, err, "")
+		WriteError(w, http.StatusNotFound, err, "")
 		return
 	}
 	if err != nil {
-		writeError(w, http.StatusConflict, err, j.id)
+		WriteError(w, http.StatusConflict, err, j.id)
 		return
 	}
-	s.mu.Lock()
+	fe.mu.Lock()
 	doc := j.doc(false)
-	s.mu.Unlock()
-	writeJSON(w, http.StatusAccepted, doc)
+	fe.mu.Unlock()
+	WriteJSON(w, http.StatusAccepted, doc)
 }
 
 // handleEvents streams the job's lifecycle as Server-Sent Events:
@@ -366,14 +356,14 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // event — named after the final state — carries the full job document.
 // Progress is coalescing (a slow client sees the latest state, not
 // every tick); the terminal event is always delivered.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(w, r)
+func (fe *FrontEnd) handleEvents(w http.ResponseWriter, r *http.Request) {
+	j, ok := fe.lookup(w, r)
 	if !ok {
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError,
+		WriteError(w, http.StatusInternalServerError,
 			errors.New("streaming unsupported by this connection"), j.id)
 		return
 	}
@@ -383,13 +373,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	fl.Flush() // release the headers before the first event arrives
 
 	sub := make(chan struct{}, 1)
-	s.mu.Lock()
+	fe.mu.Lock()
 	j.subs[sub] = struct{}{}
-	s.mu.Unlock()
+	fe.mu.Unlock()
 	defer func() {
-		s.mu.Lock()
+		fe.mu.Lock()
 		delete(j.subs, sub)
-		s.mu.Unlock()
+		fe.mu.Unlock()
 	}()
 
 	// Progress payloads carry the job's identifiers so a stream
@@ -397,6 +387,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	type progressPayload struct {
 		ProgressEvent
 		JobID     string `json:"job_id"`
+		Worker    string `json:"worker,omitempty"`
 		TraceID   string `json:"trace_id,omitempty"`
 		RequestID string `json:"request_id,omitempty"`
 	}
@@ -404,8 +395,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	var sent ProgressEvent
 	sentAny := false
 	for {
-		s.mu.Lock()
+		fe.mu.Lock()
 		prog, hasProg := j.progress, j.hasProg
+		worker := j.worker
 		terminal := j.terminal()
 		var finalDoc JobDoc
 		var state string
@@ -413,21 +405,21 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			finalDoc = j.doc(true)
 			state = j.state
 		}
-		s.mu.Unlock()
+		fe.mu.Unlock()
 
 		if hasProg && (!sentAny || prog != sent) {
 			payload := progressPayload{
-				ProgressEvent: prog, JobID: j.id,
+				ProgressEvent: prog, JobID: j.id, Worker: worker,
 				TraceID: j.traceID(), RequestID: j.requestID,
 			}
-			if err := writeSSE(w, "progress", payload); err != nil {
+			if err := WriteSSE(w, "progress", payload); err != nil {
 				return
 			}
 			sent, sentAny = prog, true
 			fl.Flush()
 		}
 		if terminal {
-			if writeSSE(w, state, finalDoc) == nil {
+			if WriteSSE(w, state, finalDoc) == nil {
 				fl.Flush()
 			}
 			return
@@ -440,8 +432,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeSSE emits one event: `event: <name>` + single-line JSON data.
-func writeSSE(w http.ResponseWriter, event string, data interface{}) error {
+// WriteSSE emits one event: `event: <name>` + single-line JSON data.
+func WriteSSE(w io.Writer, event string, data interface{}) error {
 	b, err := json.Marshal(data)
 	if err != nil {
 		return err
@@ -450,55 +442,40 @@ func writeSSE(w http.ResponseWriter, event string, data interface{}) error {
 	return err
 }
 
-// handleMetrics renders the telemetry registry — server counters and
-// histograms plus simulator stats merged in from completed jobs — in
-// Prometheus text format, with live queue gauges on top.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// handleMetrics renders the telemetry registry — front-end counters
+// and histograms plus simulator stats merged in from completed jobs —
+// in Prometheus text format, followed by the executor's own series.
+func (fe *FrontEnd) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprintf(w, "# HELP overlaysim_server_queue_depth jobs waiting in the bounded queue\n"+
-		"# TYPE overlaysim_server_queue_depth gauge\noverlaysim_server_queue_depth %d\n",
-		len(s.queue))
-	fmt.Fprintf(w, "# HELP overlaysim_server_queue_capacity bounded queue capacity\n"+
-		"# TYPE overlaysim_server_queue_capacity gauge\noverlaysim_server_queue_capacity %d\n",
-		cap(s.queue))
-	if s.snapshots != nil {
-		fmt.Fprintf(w, "# HELP overlaysim_server_snapshot_cache_hits warm-state family lookups served from cache\n"+
-			"# TYPE overlaysim_server_snapshot_cache_hits counter\noverlaysim_server_snapshot_cache_hits %d\n",
-			s.snapshots.Hits())
-		fmt.Fprintf(w, "# HELP overlaysim_server_snapshot_cache_misses warm-state family lookups that built a snapshot\n"+
-			"# TYPE overlaysim_server_snapshot_cache_misses counter\noverlaysim_server_snapshot_cache_misses %d\n",
-			s.snapshots.Misses())
-		fmt.Fprintf(w, "# HELP overlaysim_server_snapshot_cache_entries cached warm-state families\n"+
-			"# TYPE overlaysim_server_snapshot_cache_entries gauge\noverlaysim_server_snapshot_cache_entries %d\n",
-			s.snapshots.Len())
-	}
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	if len(s.statusCounts) > 0 {
-		const m = "overlaysim_server_http_responses_total"
+	ns := "overlaysim_" + fe.id.Metrics
+	fe.statsMu.Lock()
+	if len(fe.statusCounts) > 0 {
+		m := ns + "_http_responses_total"
 		fmt.Fprintf(w, "# HELP %s HTTP responses by status code\n# TYPE %s counter\n", m, m)
-		codes := make([]int, 0, len(s.statusCounts))
-		for code := range s.statusCounts {
+		codes := make([]int, 0, len(fe.statusCounts))
+		for code := range fe.statusCounts {
 			codes = append(codes, code)
 		}
 		sort.Ints(codes)
 		for _, code := range codes {
 			fmt.Fprintf(w, "%s{code=\"%s\"} %d\n",
-				m, sim.PromEscapeLabel(strconv.Itoa(code)), s.statusCounts[code])
+				m, sim.PromEscapeLabel(strconv.Itoa(code)), fe.statusCounts[code])
 		}
 	}
-	if len(s.backendCounts) > 0 {
-		const m = "overlaysim_server_jobs_total"
+	if len(fe.backendCounts) > 0 {
+		m := ns + "_jobs_total"
 		fmt.Fprintf(w, "# HELP %s jobs submitted by translation backend\n# TYPE %s counter\n", m, m)
-		backends := make([]string, 0, len(s.backendCounts))
-		for b := range s.backendCounts {
+		backends := make([]string, 0, len(fe.backendCounts))
+		for b := range fe.backendCounts {
 			backends = append(backends, b)
 		}
 		sort.Strings(backends)
 		for _, b := range backends {
 			fmt.Fprintf(w, "%s{backend=\"%s\"} %d\n",
-				m, sim.PromEscapeLabel(b), s.backendCounts[b])
+				m, sim.PromEscapeLabel(b), fe.backendCounts[b])
 		}
 	}
-	sim.WritePrometheus(w, "overlaysim_", s.stats) //nolint:errcheck // client gone
+	sim.WritePrometheus(w, "overlaysim_", fe.stats) //nolint:errcheck // client gone
+	fe.statsMu.Unlock()
+	fe.exec.WriteMetrics(r.Context(), w)
 }

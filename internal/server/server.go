@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
+	"net/http"
 	"runtime"
 	"sync"
 	"time"
@@ -13,7 +15,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/harness"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // Runner executes one validated job spec. The default is
@@ -76,93 +77,46 @@ type Config struct {
 	DisableTracing bool
 }
 
-func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 16
-	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 128
-	}
-	if c.SnapshotCacheSize == 0 {
-		c.SnapshotCacheSize = 32
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 2 * time.Second
-	}
-	if c.Runner == nil {
-		c.Runner = func(ctx context.Context, spec exp.JobSpec, pool exp.Pool) (*exp.JobOutput, error) {
-			return spec.Run(ctx, pool)
-		}
-	}
-	if c.Logger == nil {
-		c.Logger = obs.Nop()
-	}
-	if c.TraceCap <= 0 {
-		c.TraceCap = 512
-	}
-	return c
-}
-
-// Server runs experiment jobs submitted over HTTP. Construct with New
-// (workers start immediately), serve its Handler, and stop with Drain.
+// Server is the `overlaysim serve` process: a FrontEnd over the local
+// executor, a bounded queue drained by a fixed pool of workers that
+// run each job through internal/harness. Construct with New (workers
+// start immediately), serve its Handler, and stop with Drain.
 type Server struct {
-	cfg Config
+	*FrontEnd
 
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
-
-	// statsMu guards the telemetry registry; sim.Stats itself is not
-	// concurrency-safe. statusCounts and backendCounts ride under the
-	// same lock: the registry has no labelled counters, so HTTP response
-	// statuses and per-backend job tallies are kept aside and rendered
-	// as {code="NNN"}- and {backend="name"}-labelled series.
-	statsMu       sync.Mutex
-	stats         *sim.Stats
-	statusCounts  map[int]uint64
-	backendCounts map[string]uint64
-
-	mu       sync.Mutex
-	jobs     map[string]*job
-	order    []*job          // submission order, for listing
-	inflight map[string]*job // canonical key → queued/running job
-	cache    *resultCache
 	// snapshots caches warm family state across jobs: two sweep jobs
 	// over the same matrix dimension share one warm-up. Entries are
 	// immutable, so concurrent jobs fork the same family safely.
 	snapshots *exp.SnapshotCache
-	queue     chan *job
-	draining  bool
-	seq       int
 
-	wg sync.WaitGroup
+	admitMu sync.Mutex // orders Admit against Close
+	closed  bool
+	queue   chan *Job
 }
 
 // New builds the server and starts its worker pool.
 func New(cfg Config) *Server {
-	cfg = cfg.withDefaults()
-	ctx, cancel := context.WithCancel(context.Background())
-	s := &Server{
-		cfg:           cfg,
-		baseCtx:       ctx,
-		baseCancel:    cancel,
-		stats:         &sim.Stats{},
-		statusCounts:  make(map[int]uint64),
-		backendCounts: make(map[string]uint64),
-		jobs:          make(map[string]*job),
-		inflight:      make(map[string]*job),
-		cache:         newResultCache(cfg.CacheSize),
-		queue:         make(chan *job, cfg.QueueDepth),
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
+	if cfg.QueueDepth == 0 {
+		cfg.QueueDepth = 16
+	}
+	if cfg.SnapshotCacheSize == 0 {
+		cfg.SnapshotCacheSize = 32
+	}
+	if cfg.Runner == nil {
+		cfg.Runner = func(ctx context.Context, spec exp.JobSpec, pool exp.Pool) (*exp.JobOutput, error) {
+			return spec.Run(ctx, pool)
+		}
+	}
+	s := &Server{queue: make(chan *Job, cfg.QueueDepth)}
 	if cfg.SnapshotCacheSize > 0 {
 		s.snapshots = exp.NewSnapshotCache(cfg.SnapshotCacheSize)
 	}
+	s.FrontEnd = NewFrontEnd(Identity{Metrics: "server", RootSpan: "job", IDPrefix: "job-"}, cfg, s)
 	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
 		go func() {
-			defer s.wg.Done()
 			for j := range s.queue {
 				s.runJob(j)
 			}
@@ -171,201 +125,92 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// addStat bumps a server counter under the registry lock.
-func (s *Server) addStat(name string, n uint64) {
-	s.statsMu.Lock()
-	s.stats.Add(name, n)
-	s.statsMu.Unlock()
-}
-
-// observe records one histogram sample under the registry lock.
-func (s *Server) observe(name string, v uint64) {
-	s.statsMu.Lock()
-	s.stats.Histogram(name).Observe(v)
-	s.statsMu.Unlock()
-}
-
-// submit registers a new job or replies out of cache. requestID tags
-// the job with the submitting request; remote, when valid, is the
-// client's traceparent, adopted as the job trace's ID and root parent.
-// It returns the job (possibly an already-terminal cache-backed record,
-// or — joined=true — the in-flight job an identical concurrent
-// submission collapsed onto), a suggested HTTP status, and an error for
-// rejections (full queue, draining).
-func (s *Server) submit(spec exp.JobSpec, requestID string, remote obs.SpanContext) (j *job, status int, joined bool, err error) {
-	key := spec.Key()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.addStat("server.jobs_submitted", 1)
-	s.statsMu.Lock()
-	s.backendCounts[specBackendLabel(spec)]++
-	s.statsMu.Unlock()
-
-	if s.draining {
-		return nil, 503, false, errors.New("server is draining; not accepting jobs")
+// Admit queues the job for the worker pool; a full queue refuses it
+// with 429 instead of buffering without bound.
+func (s *Server) Admit(j *Job) (int, error) {
+	s.admitMu.Lock()
+	defer s.admitMu.Unlock()
+	if s.closed {
+		return http.StatusServiceUnavailable, errDraining
 	}
-	if result, ok := s.cache.get(key); ok {
-		s.addStat("server.cache_hits", 1)
-		return s.cachedJobLocked(spec, key, requestID, remote, result, CacheMemory), 200, false, nil
-	}
-	s.addStat("server.cache_misses", 1)
-	if dup, ok := s.inflight[key]; ok {
-		// Single-flight: a concurrent identical submission joins the
-		// job already in flight instead of being rejected — the engine
-		// runs once and every submitter polls or waits on the same
-		// record.
-		s.addStat("server.singleflight_hits", 1)
-		s.cfg.Logger.Info("job joined in-flight duplicate",
-			"job_id", dup.id, "trace_id", dup.traceID(), "request_id", requestID,
-			"experiment", spec.Experiment)
-		return dup, 202, true, nil
-	}
-	if s.cfg.Store != nil {
-		// The persistent tier sits under the LRU: a hit promotes the
-		// entry into memory and answers like any cache hit; a store
-		// error (corrupt entry, unreadable mount) is a miss — the job
-		// re-runs and the write-through repairs the entry. The read is
-		// a small local file; holding the registration lock across it
-		// keeps the miss→inflight transition atomic.
-		switch result, ok, serr := s.cfg.Store.Get(key); {
-		case serr != nil:
-			s.addStat("server.store_errors", 1)
-			s.cfg.Logger.Warn("result store read failed",
-				"key", key, "request_id", requestID, "err", serr.Error())
-		case ok:
-			s.addStat("server.store_hits", 1)
-			s.cache.put(key, result)
-			return s.cachedJobLocked(spec, key, requestID, remote, result, CacheStore), 200, false, nil
-		}
-	}
-
-	j = s.newJobLocked(spec, key, requestID)
 	select {
 	case s.queue <- j:
+		return http.StatusAccepted, nil
 	default:
-		// Roll the registration back: the job never existed.
-		delete(s.jobs, j.id)
-		s.order = s.order[:len(s.order)-1]
-		s.seq--
-		s.addStat("server.queue_rejections", 1)
-		return nil, 429, false, fmt.Errorf("job queue is full (%d waiting)", cap(s.queue))
-	}
-	s.startTrace(j, remote)
-	j.span.SetAttr("cache", "miss")
-	j.queueSpan = j.tracer.StartSpan(j.span.Context(), "queue.wait")
-	s.inflight[key] = j
-	s.cfg.Logger.Info("job accepted",
-		"job_id", j.id, "trace_id", j.traceID(), "request_id", requestID,
-		"experiment", spec.Experiment, "queue_depth", len(s.queue))
-	return j, 202, false, nil
-}
-
-// cachedJobLocked registers an already-terminal job backed by a cached
-// result. src names the tier that answered (CacheMemory or CacheStore).
-// Caller holds the Server mutex.
-func (s *Server) cachedJobLocked(spec exp.JobSpec, key, requestID string, remote obs.SpanContext, result []byte, src string) *job {
-	j := s.newJobLocked(spec, key, requestID)
-	s.startTrace(j, remote)
-	if src == CacheMemory {
-		j.span.SetAttr("cache", "hit")
-	} else {
-		j.span.SetAttr("cache", "hit-"+src)
-	}
-	now := time.Now()
-	j.state = StateDone
-	j.cached = true
-	j.cacheSrc = src
-	j.started, j.finished = now, now
-	j.result = result
-	j.endTrace()
-	close(j.done)
-	s.cfg.Logger.Info("job served from cache",
-		"job_id", j.id, "trace_id", j.traceID(), "request_id", requestID,
-		"experiment", spec.Experiment, "cache_source", src)
-	return j
-}
-
-// specBackendLabel is the {backend="..."} label value a submitted spec
-// tallies under: the normalized backend name, "all" for a compare run
-// over every backend, or "none" for experiments with no backend knob.
-func specBackendLabel(spec exp.JobSpec) string {
-	if b := spec.Normalized().Backend; b != "" {
-		return b
-	}
-	if spec.Experiment == "compare" {
-		return "all"
-	}
-	return "none"
-}
-
-// startTrace equips a freshly registered job with its tracer and root
-// "job" span. With tracing disabled the job simply carries no tracer
-// and every span operation no-ops.
-func (s *Server) startTrace(j *job, remote obs.SpanContext) {
-	if s.cfg.DisableTracing {
-		return
-	}
-	j.tracer = obs.NewTracer(remote.TraceID, s.cfg.TraceCap)
-	j.span = j.tracer.StartSpan(remote, "job")
-	j.span.SetAttr("job_id", j.id)
-	j.span.SetAttr("experiment", j.spec.Experiment)
-	if b := j.spec.Normalized().Backend; b != "" {
-		j.span.SetAttr("backend", b)
-	}
-	if j.requestID != "" {
-		j.span.SetAttr("request_id", j.requestID)
+		s.Count("queue_rejections", 1)
+		return http.StatusTooManyRequests, fmt.Errorf("job queue is full (%d waiting)", cap(s.queue))
 	}
 }
 
-// newJobLocked allocates and registers a queued job record.
-func (s *Server) newJobLocked(spec exp.JobSpec, key, requestID string) *job {
-	s.seq++
-	j := &job{
-		id:        jobID(s.seq),
-		spec:      spec,
-		key:       key,
-		requestID: requestID,
-		state:     StateQueued,
-		submitted: time.Now(),
-		subs:      make(map[chan struct{}]struct{}),
-		done:      make(chan struct{}),
+// Close stops the worker pool: each worker exits once the queue is
+// empty. Drain calls it when every job is terminal, so only a
+// simulation a forced drain could not stop outlives it, abandoned to
+// process exit.
+func (s *Server) Close() {
+	s.admitMu.Lock()
+	defer s.admitMu.Unlock()
+	if !s.closed {
+		s.closed = true
+		close(s.queue)
 	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j)
-	return j
+}
+
+// Health reports queue occupancy; a local server can always take jobs.
+func (s *Server) Health(doc map[string]any) bool {
+	doc["queue_depth"] = len(s.queue)
+	doc["queue_capacity"] = cap(s.queue)
+	return true
+}
+
+// Routes adds nothing: a local server serves only the job API.
+func (s *Server) Routes(*http.ServeMux) {}
+
+// WriteMetrics renders the live queue and snapshot-cache gauges.
+func (s *Server) WriteMetrics(_ context.Context, w io.Writer) {
+	fmt.Fprintf(w, "# HELP overlaysim_server_queue_depth jobs waiting in the bounded queue\n"+
+		"# TYPE overlaysim_server_queue_depth gauge\noverlaysim_server_queue_depth %d\n",
+		len(s.queue))
+	fmt.Fprintf(w, "# HELP overlaysim_server_queue_capacity bounded queue capacity\n"+
+		"# TYPE overlaysim_server_queue_capacity gauge\noverlaysim_server_queue_capacity %d\n",
+		cap(s.queue))
+	if s.snapshots != nil {
+		fmt.Fprintf(w, "# HELP overlaysim_server_snapshot_cache_hits warm-state family lookups served from cache\n"+
+			"# TYPE overlaysim_server_snapshot_cache_hits counter\noverlaysim_server_snapshot_cache_hits %d\n",
+			s.snapshots.Hits())
+		fmt.Fprintf(w, "# HELP overlaysim_server_snapshot_cache_misses warm-state family lookups that built a snapshot\n"+
+			"# TYPE overlaysim_server_snapshot_cache_misses counter\noverlaysim_server_snapshot_cache_misses %d\n",
+			s.snapshots.Misses())
+		fmt.Fprintf(w, "# HELP overlaysim_server_snapshot_cache_entries cached warm-state families\n"+
+			"# TYPE overlaysim_server_snapshot_cache_entries gauge\noverlaysim_server_snapshot_cache_entries %d\n",
+			s.snapshots.Len())
+	}
 }
 
 // runJob executes one dequeued job through the harness: a single
 // harness job wraps the runner, contributing panic→error conversion
 // and the per-job timeout, while the experiment underneath fans its
 // own simulations across the spec's parallelism.
-func (s *Server) runJob(j *job) {
-	s.mu.Lock()
-	if j.state != StateQueued { // cancelled while waiting
-		s.mu.Unlock()
+func (s *Server) runJob(j *Job) {
+	if !j.Start("") { // cancelled while waiting
 		return
 	}
-	j.state = StateRunning
-	j.started = time.Now()
-	j.queueSpan.End() // dequeue closes the queue-wait span
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	j.cancel = cancel
-	j.notifySubs()
+	// The queue.wait span covers submit → dequeue, exactly the sample
+	// the queue-wait histogram records.
 	queueWait := j.started.Sub(j.submitted)
-	s.mu.Unlock()
-	defer cancel()
-
-	s.addStat("server.engine_runs", 1)
-	s.observe("server.queue_wait_ms", uint64(queueWait.Milliseconds()))
+	if wait := j.StartSpan("queue.wait"); wait != nil {
+		wait.Start = j.submitted
+		wait.End()
+	}
+	s.Count("engine_runs", 1)
+	s.observe("queue_wait_ms", uint64(queueWait.Milliseconds()))
 
 	// The runner's context carries the job trace and a job-scoped
 	// logger, so harness.job spans and experiment phase spans nest
 	// under this "run" span and every log record downstream is tagged
 	// with the job's identifiers.
-	logger := s.cfg.Logger.With(
-		"job_id", j.id, "trace_id", j.traceID(), "request_id", j.requestID)
-	runSpan := j.tracer.StartSpan(j.span.Context(), "run")
-	ctx = obs.WithLogger(ctx, logger)
+	logger := j.logger()
+	runSpan := j.StartSpan("run")
+	ctx := obs.WithLogger(j.Context(), logger)
 	if j.tracer != nil {
 		ctx = obs.NewContext(ctx, j.tracer)
 		ctx = obs.ContextWithSpan(ctx, runSpan)
@@ -376,11 +221,7 @@ func (s *Server) runJob(j *job) {
 		Parallel:  1, // overridden by the spec's parallel field when set
 		Snapshots: s.snapshots,
 		OnProgress: func(done, total, failed int) {
-			s.mu.Lock()
-			j.progress = ProgressEvent{Done: done, Total: total, Failed: failed}
-			j.hasProg = true
-			j.notifySubs()
-			s.mu.Unlock()
+			j.Progress(ProgressEvent{Done: done, Total: total, Failed: failed})
 		},
 	}
 	results := harness.Run(ctx, harness.Options{Parallel: 1, Timeout: s.cfg.JobTimeout},
@@ -392,7 +233,7 @@ func (s *Server) runJob(j *job) {
 
 	var rendered []byte
 	if err == nil && out != nil && out.Export != nil {
-		encSpan := j.tracer.StartSpan(j.span.Context(), "encode")
+		encSpan := j.StartSpan("encode")
 		var buf bytes.Buffer
 		if werr := out.Export.WriteJSON(&buf); werr != nil {
 			err = fmt.Errorf("rendering result: %w", werr)
@@ -403,151 +244,10 @@ func (s *Server) runJob(j *job) {
 	} else if err == nil {
 		err = errors.New("runner returned no result")
 	}
-
-	// Write the rendered result through to the persistent tier before
-	// publishing it, so a process that restarts right after answering
-	// can still serve the same bytes from the store. A failed write is
-	// logged and counted, not fatal — the LRU still has the entry.
-	if err == nil && s.cfg.Store != nil {
-		if serr := s.cfg.Store.Put(j.key, rendered); serr != nil {
-			s.addStat("server.store_errors", 1)
-			logger.Warn("result store write failed", "key", j.key, "err", serr.Error())
-		} else {
-			s.addStat("server.store_puts", 1)
-		}
-	}
-
-	s.mu.Lock()
-	delete(s.inflight, j.key)
-	j.cancel = nil
-	j.finished = time.Now()
-	switch {
-	case err == nil:
-		j.state = StateDone
-		j.result = rendered
-		s.cache.put(j.key, rendered)
-	case errors.Is(err, context.Canceled):
-		j.state = StateCancelled
-		j.errMsg = err.Error()
-	default:
-		j.state = StateFailed
-		j.errMsg = err.Error()
-	}
-	state := j.state
-	j.endTrace()
-	close(j.done)
-	j.notifySubs()
-	s.mu.Unlock()
-
-	s.observe("server.job_wall_ms", uint64(j.finished.Sub(j.started).Milliseconds()))
-	wallMS := j.finished.Sub(j.started).Milliseconds()
-	switch state {
-	case StateDone:
-		s.addStat("server.jobs_completed", 1)
-		logger.Info("job finished", "state", state, "wall_ms", wallMS)
-	case StateCancelled:
-		s.addStat("server.jobs_cancelled", 1)
-		logger.Info("job finished", "state", state, "wall_ms", wallMS)
-	default:
-		s.addStat("server.jobs_failed", 1)
-		logger.Error("job failed", "wall_ms", wallMS, "err", err.Error())
-	}
 	if err == nil && out.Stats != nil {
 		s.statsMu.Lock()
 		s.stats.Merge(out.Stats)
 		s.statsMu.Unlock()
 	}
-}
-
-// cancelJob cancels a queued or running job. It returns the job and
-// nil on success, or an error describing why nothing was cancelled.
-func (s *Server) cancelJob(id string) (*job, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil, errNoSuchJob
-	}
-	switch j.state {
-	case StateQueued:
-		// The worker that eventually dequeues it will skip it.
-		j.state = StateCancelled
-		j.errMsg = context.Canceled.Error()
-		j.finished = time.Now()
-		delete(s.inflight, j.key)
-		j.endTrace()
-		close(j.done)
-		j.notifySubs()
-		s.addStat("server.jobs_cancelled", 1)
-		return j, nil
-	case StateRunning:
-		j.cancel() // the worker performs the terminal transition
-		return j, nil
-	default:
-		return j, fmt.Errorf("job %s is already %s", id, j.state)
-	}
-}
-
-var errNoSuchJob = errors.New("no such job")
-
-// Drain stops intake and shuts the pool down: new submissions get 503,
-// queued and running jobs are given until ctx expires to finish, and
-// anything still running afterwards is cancelled. Drain returns nil on
-// a clean drain and an error when the grace period expired (in-flight
-// simulations do not observe cancellation mid-engine-run, so a forced
-// drain may abandon worker goroutines to process exit).
-func (s *Server) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		close(s.queue)
-	}
-	s.mu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		s.baseCancel()
-		return nil
-	case <-ctx.Done():
-	}
-
-	// Grace expired: cancel everything still alive and give workers a
-	// moment to notice before abandoning them.
-	s.mu.Lock()
-	forced := 0
-	for _, j := range s.order {
-		switch j.state {
-		case StateRunning:
-			j.cancel()
-			forced++
-		case StateQueued:
-			j.state = StateCancelled
-			j.errMsg = context.Canceled.Error()
-			j.finished = time.Now()
-			delete(s.inflight, j.key)
-			j.endTrace()
-			close(j.done)
-			j.notifySubs()
-			forced++
-		}
-	}
-	s.mu.Unlock()
-	s.baseCancel()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-	}
-	return fmt.Errorf("drain grace period expired; cancelled %d in-flight jobs", forced)
-}
-
-// Draining reports whether Drain has begun.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
+	j.Finish(rendered, err)
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -59,7 +60,8 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// sweepSpec builds a valid spec whose cache key varies with rows.
+// sweepSpec builds a valid spec whose cache key varies with rows
+// (a multiple of 8: a sweep needs whole cache lines of values).
 func sweepSpec(rows int) string {
 	return fmt.Sprintf(`{"experiment":"sweep","points":2,"rows":%d}`, rows)
 }
@@ -156,6 +158,7 @@ func TestInvalidSpecRejected(t *testing.T) {
 		`{"experiment":"sweep","bogus":1}`,
 		`{"experiment":"sweep","points":1}`,
 		`{"experiment":"fork","rows":9}`,
+		`{"experiment":"sweep","rows":12}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -773,11 +776,31 @@ func TestSnapshotReuseAcrossJobs(t *testing.T) {
 	if code, _, _ := postSpec(t, ts, `{"experiment":"sweep","points":2,"rows":32}`, true); code != http.StatusOK {
 		t.Fatalf("job 1: status = %d, want 200", code)
 	}
-	if code, _, _ := postSpec(t, ts, `{"experiment":"sweep","points":3,"rows":32}`, true); code != http.StatusOK {
+	code, doc2, _ := postSpec(t, ts, `{"experiment":"sweep","points":3,"rows":32}`, true)
+	if code != http.StatusOK {
 		t.Fatalf("job 2: status = %d, want 200", code)
 	}
 	if hits, misses := s.snapshots.Hits(), s.snapshots.Misses(); hits != 1 || misses != 1 {
 		t.Errorf("snapshot cache hits/misses = %d/%d, want 1/1", hits, misses)
+	}
+
+	// The job that reused a cached family still serves exactly the
+	// bytes a fresh run of its spec writes (the CLI's -json export):
+	// warm-state provenance counters depend on the spec alone.
+	spec, err := exp.ParseJobSpec(strings.NewReader(`{"experiment":"sweep","points":3,"rows":32}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := spec.Run(context.Background(), exp.Pool{Parallel: 1})
+	if err != nil {
+		t.Fatalf("fresh run: %v", err)
+	}
+	var want bytes.Buffer
+	if err := fresh.Export.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	if code, got := getBody(t, ts.URL+"/v1/jobs/"+doc2.ID+"/result"); code != http.StatusOK || !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("job 2 result (status %d) differs from a fresh run of its spec:\n%s\nwant:\n%s", code, got, want.Bytes())
 	}
 
 	code, raw := getBody(t, ts.URL+"/metrics")
@@ -802,5 +825,49 @@ func TestSnapshotReuseAcrossJobs(t *testing.T) {
 	}
 	if got := byName["overlaysim_"+sim.PromName(exp.SnapWarmupsCounter)]; got < 1 {
 		t.Errorf("%s = %v, want >= 1", exp.SnapWarmupsCounter, got)
+	}
+}
+
+// TestTerminalJobRetention proves the job table is bounded: past
+// maxTerminalJobs terminal records the oldest are evicted and answer
+// 404, while a job still in flight is never evicted.
+func TestTerminalJobRetention(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	runner := func(ctx context.Context, spec exp.JobSpec, pool exp.Pool) (*exp.JobOutput, error) {
+		if spec.Rows == 8 {
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		return stubOutput(spec), nil
+	}
+	_, ts := newTestServer(t, Config{Workers: 2, Runner: runner})
+
+	_, running, _ := postSpec(t, ts, sweepSpec(8), false) // held in flight
+	_, oldest, _ := postSpec(t, ts, sweepSpec(16), true)
+	for i := 0; i < maxTerminalJobs; i++ {
+		if status, _, _ := postSpec(t, ts, sweepSpec(16), false); status != http.StatusOK {
+			t.Fatalf("cache-hit submit %d: status %d", i, status)
+		}
+	}
+
+	_, raw := getBody(t, ts.URL+"/v1/jobs")
+	var listing struct {
+		Jobs []JobDoc `json:"jobs"`
+	}
+	if err := json.Unmarshal(raw, &listing); err != nil {
+		t.Fatalf("decoding listing: %v", err)
+	}
+	if got, want := len(listing.Jobs), maxTerminalJobs+1; got != want {
+		t.Fatalf("listing holds %d jobs, want %d (the bound plus the running job)", got, want)
+	}
+	if code, _ := getBody(t, ts.URL+"/v1/jobs/"+oldest.ID); code != http.StatusNotFound {
+		t.Fatalf("oldest terminal job %s: status %d, want 404 (evicted)", oldest.ID, code)
+	}
+	if code, _ := getBody(t, ts.URL+"/v1/jobs/"+running.ID); code != http.StatusOK {
+		t.Fatalf("running job %s: status %d, want 200 (never evicted)", running.ID, code)
 	}
 }

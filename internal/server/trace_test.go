@@ -60,7 +60,7 @@ func TestTraceparentPropagation(t *testing.T) {
 
 	client := obs.SpanContext{TraceID: obs.NewTraceID(), SpanID: obs.NewSpanID()}
 	req, err := http.NewRequest("POST", ts.URL+"/v1/jobs?wait=true",
-		strings.NewReader(sweepSpec(300)))
+		strings.NewReader(sweepSpec(296)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestLogRecordsCarryTraceIDs(t *testing.T) {
 		Runner:  (&countingRunner{}).run,
 		Logger:  obs.NewLogger(&logs, "json", slog.LevelInfo),
 	})
-	status, doc, _ := postSpec(t, ts, sweepSpec(301), true)
+	status, doc, _ := postSpec(t, ts, sweepSpec(304), true)
 	if status != http.StatusOK {
 		t.Fatalf("submit: status %d", status)
 	}
@@ -264,7 +264,7 @@ func TestSSEProgressCarriesIDs(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, Runner: runner})
 	defer close(stage)
 
-	_, doc, _ := postSpec(t, ts, sweepSpec(302), false)
+	_, doc, _ := postSpec(t, ts, sweepSpec(312), false)
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + doc.ID + "/events")
 	if err != nil {
 		t.Fatalf("GET events: %v", err)
@@ -294,7 +294,7 @@ func TestTracingDisabled(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Workers: 1, Runner: (&countingRunner{}).run, DisableTracing: true,
 	})
-	status, doc, hdr := postSpec(t, ts, sweepSpec(303), true)
+	status, doc, hdr := postSpec(t, ts, sweepSpec(320), true)
 	if status != http.StatusOK {
 		t.Fatalf("submit: status %d", status)
 	}
@@ -313,10 +313,10 @@ func TestTracingDisabled(t *testing.T) {
 // TestCachedJobTrace proves a cache hit carries its own short trace.
 func TestCachedJobTrace(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, Runner: (&countingRunner{}).run})
-	if status, _, _ := postSpec(t, ts, sweepSpec(304), true); status != http.StatusOK {
+	if status, _, _ := postSpec(t, ts, sweepSpec(328), true); status != http.StatusOK {
 		t.Fatalf("first submit: status %d", status)
 	}
-	status, doc, _ := postSpec(t, ts, sweepSpec(304), false)
+	status, doc, _ := postSpec(t, ts, sweepSpec(328), false)
 	if status != http.StatusOK || !doc.Cached {
 		t.Fatalf("second submit: status %d cached %v, want cache hit", status, doc.Cached)
 	}
