@@ -248,7 +248,10 @@ func compareForkLeg(ctx context.Context, pool Pool, spec workload.Spec, fp ForkP
 // representation needs the Overlay Memory Store, so only the overlay
 // backend measures it.
 func compareSpMVLeg(ctx context.Context, pool Pool, backend string, limit int) (CompareSpMVLeg, error) {
-	ms := suiteSubset(limit)
+	ms, err := suiteSubset(ctx, pool, limit)
+	if err != nil {
+		return CompareSpMVLeg{}, err
+	}
 	leg := CompareSpMVLeg{Matrices: len(ms)}
 	for _, m := range ms {
 		cfg := spmvConfig(m.DenseBytes())

@@ -39,7 +39,11 @@ func RunFigure11(limit int) []LineSizeResult {
 // pre-sort order — and therefore the sorted output — is identical at
 // any worker count). The only possible error is pool cancellation.
 func RunFigure11Pool(ctx context.Context, pool Pool, limit int) ([]LineSizeResult, error) {
-	results, err := harness.Map(ctx, pool.opts("linesize"), suiteSubset(limit),
+	ms, err := suiteSubset(ctx, pool, limit)
+	if err != nil {
+		return nil, err
+	}
+	results, err := harness.Map(ctx, pool.opts("linesize"), ms,
 		func(_ context.Context, m *sparse.Matrix, _ int) (LineSizeResult, error) {
 			r := LineSizeResult{Matrix: m.Name, L: m.L(), Overheads: make(map[int]float64, len(LineSizes))}
 			ideal := float64(m.IdealBytes())

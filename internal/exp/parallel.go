@@ -7,6 +7,7 @@ package exp
 // experiments" for the determinism argument.
 
 import (
+	"context"
 	"io"
 
 	"repro/internal/harness"
@@ -56,10 +57,18 @@ func (p Pool) opts(label string) harness.Options {
 	}
 }
 
-// suiteSubset returns the matrix suite, evenly subsampled to limit
-// entries (limit <= 0 keeps all 87) so the L range stays covered.
-func suiteSubset(limit int) []*sparse.Matrix {
-	ms := sparse.BuildSuite()
+// suiteSubset builds the matrix suite on the pool's workers — one job
+// per spec, collected by index and then stably sorted by L, so the
+// result equals sparse.BuildSuite at any worker count — and evenly
+// subsamples it to limit entries (limit <= 0 keeps all 87) so the L
+// range stays covered.
+func suiteSubset(ctx context.Context, pool Pool, limit int) ([]*sparse.Matrix, error) {
+	ms, err := harness.Map(ctx, harness.Options{Parallel: pool.Parallel, Label: "suite"}, sparse.SuiteSpecs(),
+		func(_ context.Context, s sparse.SuiteSpec, _ int) (*sparse.Matrix, error) { return s.Build(), nil })
+	if err != nil {
+		return nil, err
+	}
+	sparse.SortByL(ms)
 	if limit > 0 && limit < len(ms) {
 		sub := make([]*sparse.Matrix, 0, limit)
 		for i := 0; i < limit; i++ {
@@ -67,5 +76,5 @@ func suiteSubset(limit int) []*sparse.Matrix {
 		}
 		ms = sub
 	}
-	return ms
+	return ms, nil
 }

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/sparse"
 )
 
 // TestSweepParallelBitIdentical is the core determinism claim: the
@@ -119,5 +121,42 @@ func TestPoolProgressReporting(t *testing.T) {
 	}
 	if out := buf.String(); !strings.Contains(out, "sweep: 3/3 jobs") {
 		t.Errorf("progress output missing:\n%q", out)
+	}
+}
+
+// TestSuiteSubsetMatchesBuildSuite checks that building the suite on the
+// job's pool changes nothing: at every worker count the result equals
+// sparse.BuildSuite — same order, names, L, non-zero counts and row
+// contents (BuildSuite's own content is pinned by a digest in
+// internal/sparse).
+func TestSuiteSubsetMatchesBuildSuite(t *testing.T) {
+	want := sparse.BuildSuite()
+	for _, parallel := range []int{1, 2, 8} {
+		got, err := suiteSubset(context.Background(), Pool{Parallel: parallel}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("parallel=%d: %d matrices, want %d", parallel, len(got), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.Name != w.Name || g.L() != w.L() || g.NNZ() != w.NNZ() {
+				t.Fatalf("parallel=%d: matrix %d = %s (L %v, nnz %d), want %s (L %v, nnz %d)",
+					parallel, i, g.Name, g.L(), g.NNZ(), w.Name, w.L(), w.NNZ())
+			}
+			if !reflect.DeepEqual(g, w) {
+				t.Fatalf("parallel=%d: matrix %d (%s) rows differ from BuildSuite", parallel, i, w.Name)
+			}
+		}
+	}
+	sub, err := suiteSubset(context.Background(), Pool{Parallel: 2}, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range sub {
+		if want := want[i*len(want)/6]; m.Name != want.Name {
+			t.Fatalf("subset entry %d = %s, want %s", i, m.Name, want.Name)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -216,4 +217,32 @@ func TestSpecRunCancelled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+}
+
+// FuzzParseJobSpec feeds arbitrary bytes to the job-spec parser, the
+// service's entry point for untrusted input. Parsing must never panic;
+// a spec it accepts must validate, and its canonical form must parse
+// back to the same canonical bytes (so the result-cache key is a fixed
+// point). The seed corpus is under testdata/fuzz/FuzzParseJobSpec.
+func FuzzParseJobSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s, err := ParseJobSpec(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("parsed spec %+v fails Validate: %v", s, err)
+		}
+		canon := s.CanonicalJSON()
+		back, err := ParseJobSpec(bytes.NewReader(canon))
+		if err != nil {
+			t.Fatalf("canonical form %s does not parse: %v", canon, err)
+		}
+		if again := back.CanonicalJSON(); !bytes.Equal(again, canon) {
+			t.Fatalf("canonical form is not a fixed point:\n first %s\nsecond %s", canon, again)
+		}
+		if back.Key() != s.Key() {
+			t.Fatalf("cache key drifted across the round trip: %s vs %s", s.Key(), back.Key())
+		}
+	})
 }

@@ -244,7 +244,10 @@ func RunFigure10(limit int, withDense bool) ([]SpMVResult, error) {
 // lazily by the first job to need it. Cycle counts are bit-identical to
 // the cold path; pool.Cold builds every framework from scratch instead.
 func RunFigure10Pool(ctx context.Context, pool Pool, limit int, withDense bool) ([]SpMVResult, error) {
-	ms := suiteSubset(limit)
+	ms, err := suiteSubset(ctx, pool, limit)
+	if err != nil {
+		return nil, err
+	}
 	if pool.Cold {
 		return harness.Map(ctx, pool.opts("spmv"), ms,
 			func(_ context.Context, m *sparse.Matrix, _ int) (SpMVResult, error) {

@@ -10,6 +10,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/arch"
@@ -189,11 +190,7 @@ func (m *Memory) Read64(ppn arch.PPN, offset uint64) uint64 {
 	if f == nil {
 		return 0
 	}
-	var v uint64
-	for i := uint64(0); i < 8; i++ {
-		v |= uint64(f[offset+i]) << (8 * i)
-	}
-	return v
+	return binary.LittleEndian.Uint64(f[offset:])
 }
 
 // Write64 stores a little-endian uint64 at (ppn, offset).
@@ -204,10 +201,7 @@ func (m *Memory) Write64(ppn arch.PPN, offset uint64, v uint64) {
 	if ppn == ZeroPPN {
 		panic("mem: write to the zero page")
 	}
-	f := m.frame(ppn, true)
-	for i := uint64(0); i < 8; i++ {
-		f[offset+i] = byte(v >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(m.frame(ppn, true)[offset:], v)
 }
 
 // ReadSpan copies len(dst) bytes starting at (ppn, offset) into dst; the

@@ -71,3 +71,30 @@ func BenchmarkOMSResolve(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkOMSInsertLine measures the metadata-line update path: one
+// InsertLine (slot-pointer probe, free-vector scan and claim, pointer
+// write) and the RemoveLine that undoes it, cycling over every slot of
+// a 2 KB segment. Gated at 0 allocs/op alongside BenchmarkOMSAlloc.
+func BenchmarkOMSInsertLine(b *testing.B) {
+	m := mem.New(1 << 10)
+	var st sim.Stats
+	s, err := New(m, &st, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	class := NumClasses - 2
+	base, err := s.AllocSegment(class)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		line := n % ClassSlots(class)
+		if _, full := s.InsertLine(base, line); full {
+			b.Fatal("segment full")
+		}
+		s.RemoveLine(base, line)
+	}
+}

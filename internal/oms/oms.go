@@ -32,6 +32,7 @@ package oms
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/arch"
 	"repro/internal/mem"
@@ -764,30 +765,25 @@ func (s *Store) metaPPN(base arch.PhysAddr) (arch.PPN, uint64) {
 	return arch.PPN(base.Page()), uint64(base) & arch.PageMask
 }
 
+// readMetaBits loads the width-bit field at bitOff (width <= 32) with
+// one word read: every field of the line sits inside the 8-byte word
+// starting at its first byte (a pointer spans at most two bytes, the
+// free vector five).
 func (s *Store) readMetaBits(base arch.PhysAddr, bitOff, width uint) uint32 {
 	ppn, off := s.metaPPN(base)
-	var v uint32
-	for i := uint(0); i < width; i++ {
-		bit := bitOff + i
-		b := s.memory.Read(ppn, off+uint64(bit/8))
-		v |= uint32(b>>(bit%8)&1) << i
-	}
-	return v
+	w := s.memory.Read64(ppn, off+uint64(bitOff/8))
+	return uint32(w >> (bitOff % 8) & (1<<width - 1))
 }
 
+// writeMetaBits stores the field with a read-modify-write of the same
+// word. The write goes through mem, so copy-on-write and frame
+// materialisation behave exactly as for a byte store.
 func (s *Store) writeMetaBits(base arch.PhysAddr, bitOff, width uint, v uint32) {
 	ppn, off := s.metaPPN(base)
-	for i := uint(0); i < width; i++ {
-		bit := bitOff + i
-		byteOff := off + uint64(bit/8)
-		b := s.memory.Read(ppn, byteOff)
-		if v>>i&1 != 0 {
-			b |= 1 << (bit % 8)
-		} else {
-			b &^= 1 << (bit % 8)
-		}
-		s.memory.Write(ppn, byteOff, b)
-	}
+	byteOff := off + uint64(bitOff/8)
+	mask := uint64(1<<width-1) << (bitOff % 8)
+	w := s.memory.Read64(ppn, byteOff)
+	s.memory.Write64(ppn, byteOff, w&^mask|uint64(v)<<(bitOff%8)&mask)
 }
 
 func (s *Store) slotPointer(base arch.PhysAddr, line int) int {
@@ -853,12 +849,8 @@ func (s *Store) InsertLine(base arch.PhysAddr, line int) (addr arch.PhysAddr, fu
 	if fv == 0 {
 		return 0, true
 	}
-	slot := 1
-	for fv&1 == 0 {
-		fv >>= 1
-		slot++
-	}
-	s.setFreeVector(base, s.freeVector(base)&^(1<<uint(slot-1)))
+	slot := bits.TrailingZeros32(fv) + 1
+	s.setFreeVector(base, fv&^(1<<uint(slot-1)))
 	s.setSlotPointer(base, line, slot)
 	return base + arch.PhysAddr(slot*arch.LineSize), false
 }
@@ -945,11 +937,5 @@ func (s *Store) FreeSlots(base arch.PhysAddr) int {
 	if class == NumClasses-1 {
 		return arch.LinesPerPage // offsets are never contended
 	}
-	fv := s.freeVector(base)
-	n := 0
-	for fv != 0 {
-		n += int(fv & 1)
-		fv >>= 1
-	}
-	return n
+	return bits.OnesCount32(s.freeVector(base))
 }

@@ -274,6 +274,15 @@ func Random(name string, rows, cols, targetNNZ int, targetL float64, seed int64)
 	}
 
 	// Fill each chosen line with k values, k concentrated near targetL.
+	// Every (row, column) is drawn at most once, so values are collected
+	// in generation order, bucketed by row into one flat array pair, and
+	// each row is sorted once.
+	type entry struct {
+		r, c int32
+		v    float64
+	}
+	entries := make([]entry, 0, lineCount*(int(targetL)+1))
+	var perm [ValuesPerLine]int
 	for pi, page := range active {
 		for _, l := range pageLines[pi].Lines() {
 			globalLine := page*arch.LinesPerPage + l
@@ -283,16 +292,56 @@ func Random(name string, rows, cols, targetNNZ int, targetL float64, seed int64)
 			r := globalLine / linesPerRow
 			lb := globalLine % linesPerRow
 			n := lineFill(rng, targetL)
-			for _, ci := range rng.Perm(ValuesPerLine)[:n] {
+			// rand.Perm(ValuesPerLine)'s exact Intn sequence, unallocated.
+			for i := range perm {
+				j := rng.Intn(i + 1)
+				perm[i], perm[j] = perm[j], i
+			}
+			for _, ci := range perm[:n] {
 				v := rng.NormFloat64()
 				if v == 0 {
 					v = 1
 				}
-				m.Set(r, lb*ValuesPerLine+ci, v)
+				entries = append(entries, entry{int32(r), int32(lb*ValuesPerLine + ci), v})
 			}
 		}
 	}
+	start := make([]int, rows+1)
+	for _, e := range entries {
+		start[e.r+1]++
+	}
+	for r := 0; r < rows; r++ {
+		start[r+1] += start[r]
+	}
+	colIdx := make([]int32, len(entries))
+	values := make([]float64, len(entries))
+	next := append([]int(nil), start[:rows]...)
+	for _, e := range entries {
+		colIdx[next[e.r]], values[next[e.r]] = e.c, e.v
+		next[e.r]++
+	}
+	for r := 0; r < rows; r++ {
+		if lo, hi := start[r], start[r+1]; hi > lo {
+			sortRow(colIdx[lo:hi], values[lo:hi])
+			m.RowCols[r], m.RowVals[r] = colIdx[lo:hi:hi], values[lo:hi:hi]
+		}
+	}
+	m.nnz = len(entries)
 	return m
+}
+
+// sortRow sorts a row's columns ascending, carrying the values along. A
+// typed insertion sort: rows are short, and sort.Sort's interface calls
+// would cost more than the sorting itself.
+func sortRow(cols []int32, vals []float64) {
+	for i := 1; i < len(cols); i++ {
+		c, v := cols[i], vals[i]
+		j := i
+		for ; j > 0 && cols[j-1] > c; j-- {
+			cols[j], vals[j] = cols[j-1], vals[j-1]
+		}
+		cols[j], vals[j] = c, v
+	}
 }
 
 // ExactLines generates a matrix with exactly nnzLines fully dense

@@ -64,6 +64,23 @@ func BuildSuite() []*Matrix {
 	for i, s := range specs {
 		ms[i] = s.Build()
 	}
-	sort.SliceStable(ms, func(i, j int) bool { return ms[i].L() < ms[j].L() })
+	SortByL(ms)
 	return ms
+}
+
+// SortByL stably sorts matrices by ascending measured L, computing each
+// L once rather than on every comparison.
+func SortByL(ms []*Matrix) {
+	type keyed struct {
+		m *Matrix
+		l float64
+	}
+	ks := make([]keyed, len(ms))
+	for i, m := range ms {
+		ks[i] = keyed{m, m.L()}
+	}
+	sort.SliceStable(ks, func(i, j int) bool { return ks[i].l < ks[j].l })
+	for i := range ks {
+		ms[i] = ks[i].m
+	}
 }

@@ -116,6 +116,28 @@ func MapCSR(f *core.Framework, proc *vm.Process, c *CSR) (Layout, error) {
 	return l, nil
 }
 
+// instrQueue is the FIFO a trace generator refills and drains. Popping
+// advances a head index, and a drained queue resets to its backing
+// array's start, so steady-state generation allocates nothing (the
+// capacity covers the most any generator pushes per step).
+type instrQueue struct {
+	buf  []cpu.Instr
+	head int
+}
+
+func newInstrQueue() *instrQueue { return &instrQueue{buf: make([]cpu.Instr, 0, 8)} }
+
+func (q *instrQueue) push(ins ...cpu.Instr) { q.buf = append(q.buf, ins...) }
+
+func (q *instrQueue) pop() (cpu.Instr, bool) {
+	if q.head < len(q.buf) {
+		q.head++
+		return q.buf[q.head-1], true
+	}
+	q.buf, q.head = q.buf[:0], 0
+	return cpu.Instr{}, false
+}
+
 // DenseTrace yields one dense SpMV iteration: for every matrix line, load
 // the line and the matching x line, then 8 multiply-accumulates; one y
 // store per row. This is both the dense baseline and (conceptually) the
@@ -123,25 +145,23 @@ func MapCSR(f *core.Framework, proc *vm.Process, c *CSR) (Layout, error) {
 func DenseTrace(m *Matrix, l Layout) cpu.Trace {
 	linesPerRow := m.Cols / ValuesPerLine
 	r, lb := 0, 0
-	var pending []cpu.Instr
+	q := newInstrQueue()
 	return cpu.FuncTrace(func() (cpu.Instr, bool) {
 		for {
-			if len(pending) > 0 {
-				in := pending[0]
-				pending = pending[1:]
+			if in, ok := q.pop(); ok {
 				return in, true
 			}
 			if r >= m.Rows {
 				return cpu.Instr{}, false
 			}
-			pending = append(pending,
+			q.push(
 				cpu.Instr{Kind: cpu.Load, VA: l.MatBase + arch.VirtAddr((r*linesPerRow+lb)*arch.LineSize)},
 				cpu.Instr{Kind: cpu.Load, VA: l.XBase + arch.VirtAddr(lb*arch.LineSize)},
 				cpu.Instr{Kind: cpu.Compute, N: ValuesPerLine},
 			)
 			lb++
 			if lb >= linesPerRow {
-				pending = append(pending, cpu.Instr{Kind: cpu.Store, VA: l.YBase + arch.VirtAddr(r*8)})
+				q.push(cpu.Instr{Kind: cpu.Store, VA: l.YBase + arch.VirtAddr(r*8)})
 				lb = 0
 				r++
 			}
@@ -156,18 +176,16 @@ func DenseTrace(m *Matrix, l Layout) cpu.Trace {
 func CSRTrace(c *CSR, l Layout) cpu.Trace {
 	r, i := 0, 0
 	fmasPending := 0
-	var pending []cpu.Instr
+	q := newInstrQueue()
 	flushFMAs := func() {
 		if fmasPending > 0 {
-			pending = append(pending, cpu.Instr{Kind: cpu.Compute, N: fmasPending})
+			q.push(cpu.Instr{Kind: cpu.Compute, N: fmasPending})
 			fmasPending = 0
 		}
 	}
 	return cpu.FuncTrace(func() (cpu.Instr, bool) {
 		for {
-			if len(pending) > 0 {
-				in := pending[0]
-				pending = pending[1:]
+			if in, ok := q.pop(); ok {
 				return in, true
 			}
 			if r >= c.Rows() {
@@ -175,14 +193,14 @@ func CSRTrace(c *CSR, l Layout) cpu.Trace {
 			}
 			// Row prologue: the row-pointer line, amortised 16 rows/line.
 			if i == int(c.RowPtr[r]) && r%16 == 0 {
-				pending = append(pending, cpu.Instr{
+				q.push(cpu.Instr{
 					Kind: cpu.Load, VA: l.RowPtrBase + arch.VirtAddr(r*4),
 				})
 			}
 			if i >= int(c.RowPtr[r+1]) {
 				// Row epilogue: flush the row's tail FMAs, store y[r].
 				flushFMAs()
-				pending = append(pending, cpu.Instr{
+				q.push(cpu.Instr{
 					Kind: cpu.Store, VA: l.YBase + arch.VirtAddr(r*8),
 				})
 				r++
@@ -190,13 +208,13 @@ func CSRTrace(c *CSR, l Layout) cpu.Trace {
 			}
 			if i%ValuesPerLine == 0 {
 				flushFMAs()
-				pending = append(pending, cpu.Instr{Kind: cpu.Load, VA: l.ValsBase + arch.VirtAddr(i*8)})
+				q.push(cpu.Instr{Kind: cpu.Load, VA: l.ValsBase + arch.VirtAddr(i*8)})
 			}
 			if i%16 == 0 {
-				pending = append(pending, cpu.Instr{Kind: cpu.Load, VA: l.ColsBase + arch.VirtAddr(i*4)})
+				q.push(cpu.Instr{Kind: cpu.Load, VA: l.ColsBase + arch.VirtAddr(i*4)})
 			}
 			col := int(c.Cols[i])
-			pending = append(pending, cpu.Instr{Kind: cpu.Load, VA: l.XBase + arch.VirtAddr(col*8)})
+			q.push(cpu.Instr{Kind: cpu.Load, VA: l.XBase + arch.VirtAddr(col*8)})
 			fmasPending++
 			i++
 		}
@@ -222,12 +240,10 @@ func OverlayTrace(o *OverlayMatrix, l Layout) (cpu.Trace, error) {
 	idx := 0
 	lastRow := -1
 	flushed := false
-	var pending []cpu.Instr
+	q := newInstrQueue()
 	return cpu.FuncTrace(func() (cpu.Instr, bool) {
 		for {
-			if len(pending) > 0 {
-				in := pending[0]
-				pending = pending[1:]
+			if in, ok := q.pop(); ok {
 				return in, true
 			}
 			if idx >= len(lines) {
@@ -241,11 +257,11 @@ func OverlayTrace(o *OverlayMatrix, l Layout) (cpu.Trace, error) {
 			idx++
 			row := gl / linesPerRow
 			if lastRow != -1 && row != lastRow {
-				pending = append(pending, cpu.Instr{Kind: cpu.Store, VA: l.YBase + arch.VirtAddr(lastRow*8)})
+				q.push(cpu.Instr{Kind: cpu.Store, VA: l.YBase + arch.VirtAddr(lastRow*8)})
 			}
 			lastRow = row
 			colLine := gl % linesPerRow
-			pending = append(pending,
+			q.push(
 				// Matrix lines stream through the overlay computation
 				// model (OBitVector-driven, no TLB); x is a normal load.
 				cpu.Instr{Kind: cpu.LoadOverlay, VA: l.MatBase + arch.VirtAddr(gl*arch.LineSize)},
