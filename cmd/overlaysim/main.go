@@ -23,7 +23,11 @@
 // n worker goroutines (results are bit-identical at any n). Every
 // subcommand accepts -cpuprofile=<file> and -memprofile=<file> to capture
 // pprof profiles of the invocation. Usage errors exit with status 2,
-// runtime errors with status 1.
+// runtime errors with status 1. The experiment subcommands (fork through
+// omsstress) parse their flags into an exp.JobSpec and validate it as
+// serve does, so any spec serve rejects with HTTP 400 — an unknown
+// -bench, say — exits 2; as in a job spec, a zero sizing flag selects
+// its default.
 package main
 
 import (
@@ -43,7 +47,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/sparse"
 	"repro/internal/system"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -128,33 +131,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 // commands builds a fresh subcommand table (fresh flag sets, so tests can
 // invoke run repeatedly without flag redefinition panics).
 func commands() []*command {
-	return []*command{
-		newConfigCmd(),
-		newForkCmd(),
-		newSpmvCmd(),
-		newLinesizeCmd(),
-		newSweepCmd(),
-		newDualcoreCmd(),
-		newCompareCmd(),
-		newOMSStressCmd(),
+	cmds := []*command{newConfigCmd()}
+	for _, e := range exp.Experiments {
+		cmds = append(cmds, newExperimentCmd(e))
+	}
+	return append(cmds,
 		newBenchCmd(),
 		newTraceCmd(),
 		newStatsCmd(),
 		newServeCmd(),
 		newCoordinatorCmd(),
-	}
+	)
 }
 
-// addBackendFlag registers the shared -backend flag. parseBackend
-// validates the value against the registered-backend list at flag-parse
-// time: an unknown name is a usage error (exit 2) listing the valid
-// names, not a simulation-time panic.
-func addBackendFlag(fs *flag.FlagSet) *string {
-	return fs.String("backend", "",
-		fmt.Sprintf("translation backend: one of %s (default %s)",
-			strings.Join(core.Backends(), ", "), core.DefaultBackend))
-}
-
+// parseBackend validates stats' -backend against the registered-backend
+// list before any simulation: an unknown name is a usage error (exit 2)
+// listing the valid names, not a simulation-time panic.
 func parseBackend(backend string) (string, error) {
 	if err := core.ValidBackend(backend); err != nil {
 		return "", usageError(err.Error())
@@ -227,26 +219,6 @@ func (p *profileFlags) start() (stop func() error, err error) {
 	}, nil
 }
 
-// addParallelFlag registers the shared -parallel flag. parsePool turns
-// it into the experiment pool, rejecting negative counts as usage
-// errors (0 selects GOMAXPROCS).
-func addParallelFlag(fs *flag.FlagSet) *int {
-	return fs.Int("parallel", 1, "worker goroutines for independent simulations (0 = GOMAXPROCS)")
-}
-
-func parsePool(parallel int, stderr io.Writer) (exp.Pool, error) {
-	if parallel < 0 {
-		return exp.Pool{}, usageError(fmt.Sprintf("invalid -parallel %d: must be >= 0", parallel))
-	}
-	return exp.Pool{Parallel: parallel, Progress: stderr}, nil
-}
-
-// addColdFlag registers the shared -cold flag on experiments with a
-// warm-state snapshot path.
-func addColdFlag(fs *flag.FlagSet) *bool {
-	return fs.Bool("cold", false, "disable warm-state snapshot reuse (results are bit-identical either way)")
-}
-
 // telemetryFlags is the flag group shared by every measuring subcommand.
 type telemetryFlags struct {
 	jsonPath  string
@@ -266,11 +238,6 @@ func addTelemetryFlags(fs *flag.FlagSet) *telemetryFlags {
 	fs.IntVar(&t.traceCap, "tracecap", sim.DefaultTraceCap, "trace ring-buffer capacity in `events`")
 	fs.Uint64Var(&t.epoch, "epoch", uint64(sim.DefaultEpoch), "series sampling period in `cycles`")
 	return t
-}
-
-// wanted reports whether any telemetry output was requested.
-func (t *telemetryFlags) wanted() bool {
-	return t.jsonPath != "" || t.csvPath != "" || t.tracePath != "" || t.spansPath != ""
 }
 
 // traceLog returns the shared trace ring if -tracelog was given.
@@ -357,44 +324,38 @@ func flush(fh **os.File, emit func(io.Writer) error) error {
 	return err
 }
 
-// write emits the requested telemetry files. Any of the inputs may be
-// nil; an output whose input is nil is left empty. Host-side spans go
-// to -spans as JSONL and additionally merge into the -tracelog Chrome
-// document (simulated-cycle tracks at pid >= 1, wall-clock spans at
-// pid 0).
-func (o *telemetryOutputs) write(ex *sim.Export, series []*sim.Series, tl *sim.TraceLog, spans []obs.Span) error {
+// write emits the requested telemetry files from the run's export (nil
+// leaves -json and -csv empty). Host-side spans go to -spans as JSONL and
+// additionally merge into the -tracelog Chrome document (simulated-cycle
+// tracks at pid >= 1, wall-clock spans at pid 0), which is written even
+// when the run recorded no simulator events.
+func (o *telemetryOutputs) write(ex *sim.Export, tl *sim.TraceLog, spans []obs.Span) error {
 	defer o.close()
 	if ex != nil {
 		if err := flush(&o.json, ex.WriteJSON); err != nil {
 			return err
 		}
-	}
-	if err := flush(&o.csv, func(w io.Writer) error {
-		return sim.WriteSeriesCSV(w, series...)
-	}); err != nil {
-		return err
+		if err := flush(&o.csv, ex.WriteSeriesCSV); err != nil {
+			return err
+		}
 	}
 	if err := flush(&o.spans, func(w io.Writer) error {
 		return obs.WriteSpansJSONL(w, spans)
 	}); err != nil {
 		return err
 	}
-	if tl != nil {
-		if err := flush(&o.trace, func(w io.Writer) error {
-			simRecords, err := tl.ChromeRecords()
-			if err != nil {
-				return err
-			}
-			spanRecords, err := obs.ChromeRecords(spans)
-			if err != nil {
-				return err
-			}
-			return sim.WriteChromeTrace(w, simRecords, spanRecords)
-		}); err != nil {
+	// tl is non-nil whenever -tracelog opened o.trace.
+	return flush(&o.trace, func(w io.Writer) error {
+		simRecords, err := tl.ChromeRecords()
+		if err != nil {
 			return err
 		}
-	}
-	return nil
+		spanRecords, err := obs.ChromeRecords(spans)
+		if err != nil {
+			return err
+		}
+		return sim.WriteChromeTrace(w, simRecords, spanRecords)
+	})
 }
 
 func newConfigCmd() *command {
@@ -411,367 +372,35 @@ func newConfigCmd() *command {
 	}
 }
 
-func newForkCmd() *command {
-	fs := flag.NewFlagSet("fork", flag.ContinueOnError)
-	warm := fs.Uint64("warm", exp.DefaultForkParams().WarmInstructions, "warm-up instructions before the fork")
-	measure := fs.Uint64("measure", exp.DefaultForkParams().MeasureInstructions, "instructions measured after the fork")
-	bench := fs.String("bench", "", "run a single benchmark (default: all 15)")
-	backend := addBackendFlag(fs)
-	parallel := addParallelFlag(fs)
-	cold := addColdFlag(fs)
+// newExperimentCmd builds the subcommand for one row of the experiment
+// table: the row's flags parse into a job spec, which runs through the
+// same JobSpec.Run that serves HTTP jobs.
+func newExperimentCmd(e exp.Experiment) *command {
+	fs := flag.NewFlagSet(e.Name, flag.ContinueOnError)
+	spec := e.Flags(fs)
 	tel := addTelemetryFlags(fs)
 	return &command{
-		name:    "fork",
-		summary: "Figures 8 and 9: overlay-on-write vs copy-on-write",
+		name:    e.Name,
+		summary: e.Summary,
 		flags:   fs,
 		prof:    addProfileFlags(fs),
 		run: func(stdout, stderr io.Writer) error {
-			pool, err := parsePool(*parallel, stderr)
-			if err != nil {
-				return err
-			}
-			be, err := parseBackend(*backend)
-			if err != nil {
-				return err
-			}
-			pool.Cold = *cold
-			snap := &exp.SnapshotStats{}
-			pool.Snap = snap
-			outs, err := tel.open()
-			if err != nil {
-				return err
-			}
-			defer outs.close()
-			tl := tel.traceLog()
-			params := exp.ForkParams{
-				WarmInstructions:    *warm,
-				MeasureInstructions: *measure,
-				Backend:             be,
-				SeriesEpoch:         sim.Cycle(tel.epoch),
-				Trace:               tl,
-			}
-			var names []string
-			if *bench != "" {
-				names = []string{*bench}
-			}
-			ctx, finishSpans := tel.traceContext("fork")
-			results, err := exp.RunForkSuitePool(ctx, pool, params, names)
-			if err != nil {
-				return err
-			}
-			exp.PrintFigure8(stdout, results)
-			fmt.Fprintln(stdout)
-			exp.PrintFigure9(stdout, results)
-			if !tel.wanted() {
-				return nil
-			}
-			ex := exp.ForkExport(params, results)
-			snap.Provenance().AttachCounters(ex)
-			var series []*sim.Series
-			for i := range results {
-				series = append(series, results[i].CoW.Series, results[i].OoW.Series)
-			}
-			return outs.write(ex, series, tl, finishSpans())
-		},
-	}
-}
-
-func newSpmvCmd() *command {
-	fs := flag.NewFlagSet("spmv", flag.ContinueOnError)
-	limit := fs.Int("matrices", 0, "number of suite matrices to run (0 = all 87)")
-	dense := fs.Bool("dense", false, "also run the dense baseline")
-	parallel := addParallelFlag(fs)
-	cold := addColdFlag(fs)
-	tel := addTelemetryFlags(fs)
-	return &command{
-		name:    "spmv",
-		summary: "Figure 10: SpMV with overlays vs CSR",
-		flags:   fs,
-		prof:    addProfileFlags(fs),
-		run: func(stdout, stderr io.Writer) error {
-			pool, err := parsePool(*parallel, stderr)
-			if err != nil {
-				return err
-			}
-			if *limit < 0 {
-				return usageError(fmt.Sprintf("invalid -matrices %d: must be >= 0", *limit))
-			}
-			outs, err := tel.open()
-			if err != nil {
-				return err
-			}
-			defer outs.close()
-			pool.Cold = *cold
-			snap := &exp.SnapshotStats{}
-			pool.Snap = snap
-			ctx, finishSpans := tel.traceContext("spmv")
-			results, err := exp.RunFigure10Pool(ctx, pool, *limit, *dense)
-			if err != nil {
-				return err
-			}
-			exp.PrintFigure10(stdout, results)
-			if !tel.wanted() {
-				return nil
-			}
-			ex := sim.NewExport("spmv")
-			ex.Results = results
-			snap.Provenance().AttachCounters(ex)
-			return outs.write(ex, nil, nil, finishSpans())
-		},
-	}
-}
-
-func newLinesizeCmd() *command {
-	fs := flag.NewFlagSet("linesize", flag.ContinueOnError)
-	limit := fs.Int("matrices", 0, "number of suite matrices (0 = all 87)")
-	parallel := addParallelFlag(fs)
-	cold := addColdFlag(fs)
-	tel := addTelemetryFlags(fs)
-	return &command{
-		name:    "linesize",
-		summary: "Figure 11: memory overhead vs mapping granularity",
-		flags:   fs,
-		prof:    addProfileFlags(fs),
-		run: func(stdout, stderr io.Writer) error {
-			pool, err := parsePool(*parallel, stderr)
-			if err != nil {
-				return err
-			}
-			if *limit < 0 {
-				return usageError(fmt.Sprintf("invalid -matrices %d: must be >= 0", *limit))
-			}
-			outs, err := tel.open()
-			if err != nil {
-				return err
-			}
-			defer outs.close()
-			// linesize is purely analytic today (a degenerate family with
-			// nothing to warm), but it accepts -cold so the flag surface
-			// matches the job-spec table.
-			pool.Cold = *cold
-			ctx, finishSpans := tel.traceContext("linesize")
-			results, err := exp.RunFigure11Pool(ctx, pool, *limit)
-			if err != nil {
-				return err
-			}
-			exp.PrintFigure11(stdout, results)
-			if !tel.wanted() {
-				return nil
-			}
-			ex := sim.NewExport("linesize")
-			ex.Results = results
-			return outs.write(ex, nil, nil, finishSpans())
-		},
-	}
-}
-
-func newSweepCmd() *command {
-	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
-	points := fs.Int("points", 11, "sparsity levels between 0%% and 100%%")
-	rows := fs.Int("rows", 256, "matrix dimension")
-	parallel := addParallelFlag(fs)
-	cold := addColdFlag(fs)
-	tel := addTelemetryFlags(fs)
-	return &command{
-		name:    "sweep",
-		summary: "§5.2 sparsity sweep: overlays vs dense",
-		flags:   fs,
-		prof:    addProfileFlags(fs),
-		run: func(stdout, stderr io.Writer) error {
-			pool, err := parsePool(*parallel, stderr)
-			if err != nil {
-				return err
-			}
-			if *points < 2 {
-				return usageError(fmt.Sprintf("invalid -points %d: need at least 2 sweep points", *points))
-			}
-			if *rows < sparse.ValuesPerLine {
-				return usageError(fmt.Sprintf("invalid -rows %d: need at least one cache line of values", *rows))
-			}
-			if *rows%sparse.ValuesPerLine != 0 {
-				return usageError(fmt.Sprintf("invalid -rows %d: must be a multiple of %d (whole cache lines of values)", *rows, sparse.ValuesPerLine))
-			}
-			outs, err := tel.open()
-			if err != nil {
-				return err
-			}
-			defer outs.close()
-			pool.Cold = *cold
-			snap := &exp.SnapshotStats{}
-			pool.Snap = snap
-			ctx, finishSpans := tel.traceContext("sweep")
-			results, err := exp.RunSparsitySweepPool(ctx, pool, *points, *rows)
-			if err != nil {
-				return err
-			}
-			exp.PrintSweep(stdout, results)
-			if !tel.wanted() {
-				return nil
-			}
-			ex := sim.NewExport("sweep")
-			ex.Results = results
-			snap.Provenance().AttachCounters(ex)
-			return outs.write(ex, nil, nil, finishSpans())
-		},
-	}
-}
-
-func newDualcoreCmd() *command {
-	fs := flag.NewFlagSet("dualcore", flag.ContinueOnError)
-	parallel := addParallelFlag(fs)
-	tel := addTelemetryFlags(fs)
-	return &command{
-		name:    "dualcore",
-		summary: "extension: page divergence with both processes running",
-		flags:   fs,
-		prof:    addProfileFlags(fs),
-		run: func(stdout, stderr io.Writer) error {
-			pool, err := parsePool(*parallel, stderr)
-			if err != nil {
-				return err
-			}
-			outs, err := tel.open()
-			if err != nil {
-				return err
-			}
-			defer outs.close()
-			ctx, finishSpans := tel.traceContext("dualcore")
-			results, err := exp.RunDualCorePool(ctx, pool)
-			if err != nil {
-				return err
-			}
-			exp.PrintDualCore(stdout, results)
-			if !tel.wanted() {
-				return nil
-			}
-			ex := sim.NewExport("dualcore")
-			ex.Results = results
-			return outs.write(ex, nil, nil, finishSpans())
-		},
-	}
-}
-
-func newCompareCmd() *command {
-	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
-	defaults := exp.DefaultCompareParams()
-	bench := fs.String("bench", defaults.Bench, "fork benchmark each backend runs")
-	backend := addBackendFlag(fs)
-	warm := fs.Uint64("warm", defaults.Warm, "warm-up instructions before the fork")
-	measure := fs.Uint64("measure", defaults.Measure, "instructions measured after the fork")
-	matrices := fs.Int("matrices", defaults.Matrices, "SpMV suite matrices each backend runs")
-	parallel := addParallelFlag(fs)
-	cold := addColdFlag(fs)
-	tel := addTelemetryFlags(fs)
-	return &command{
-		name:    "compare",
-		summary: "run the same workloads across translation backends (overlay, baseline, vbi, utopia)",
-		flags:   fs,
-		prof:    addProfileFlags(fs),
-		run: func(stdout, stderr io.Writer) error {
-			pool, err := parsePool(*parallel, stderr)
-			if err != nil {
-				return err
-			}
-			if err := core.ValidBackend(*backend); err != nil {
+			if err := spec.Validate(); err != nil {
 				return usageError(err.Error())
 			}
-			if *matrices < 0 {
-				return usageError(fmt.Sprintf("invalid -matrices %d: must be >= 0", *matrices))
-			}
 			outs, err := tel.open()
 			if err != nil {
 				return err
 			}
 			defer outs.close()
-			pool.Cold = *cold
-			snap := &exp.SnapshotStats{}
-			pool.Snap = snap
-			params := exp.CompareParams{
-				Bench:    *bench,
-				Warm:     *warm,
-				Measure:  *measure,
-				Matrices: *matrices,
-			}
-			// -backend restricts the run to one backend; default is all.
-			if *backend != "" {
-				params.Backends = []string{*backend}
-			}
-			ctx, finishSpans := tel.traceContext("compare")
-			report, err := exp.RunComparePool(ctx, pool, params)
+			pool := exp.Pool{Progress: stderr, Epoch: sim.Cycle(tel.epoch), Trace: tel.traceLog()}
+			ctx, finishSpans := tel.traceContext(e.Name)
+			out, err := spec.Run(ctx, pool)
 			if err != nil {
 				return err
 			}
-			exp.PrintCompare(stdout, report)
-			if !tel.wanted() {
-				return nil
-			}
-			ex := exp.CompareExport(params, report)
-			snap.Provenance().AttachCounters(ex)
-			return outs.write(ex, nil, nil, finishSpans())
-		},
-	}
-}
-
-func newOMSStressCmd() *command {
-	fs := flag.NewFlagSet("omsstress", flag.ContinueOnError)
-	defaults := exp.DefaultOMSStressParams()
-	tenants := fs.Int("tenants", defaults.Tenants, "concurrent tenant stores")
-	ops := fs.Int("ops", defaults.Ops, "churn operations per tenant")
-	segments := fs.Int("segments", defaults.Segments, "overlay segments per tenant (working-set bound)")
-	capacity := fs.Int("oms-capacity", defaults.Capacity, "frame budget per tenant store (-1 = unlimited, no eviction)")
-	spill := fs.Bool("oms-spill", defaults.Spill, "evict cold segments to the modeled spill tier")
-	shared := fs.Bool("shared", false, "route all tenants through one lock-striped shared store (results are bit-identical either way)")
-	parallel := addParallelFlag(fs)
-	tel := addTelemetryFlags(fs)
-	return &command{
-		name:    "omsstress",
-		summary: "multi-tenant OMS buffer-manager churn: cooling eviction and beyond-DRAM spill",
-		flags:   fs,
-		prof:    addProfileFlags(fs),
-		run: func(stdout, stderr io.Writer) error {
-			pool, err := parsePool(*parallel, stderr)
-			if err != nil {
-				return err
-			}
-			if *tenants < 1 || *ops < 1 || *segments < 1 {
-				return usageError("omsstress: -tenants, -ops and -segments must be >= 1")
-			}
-			// Capacity semantics match the job spec: -1 = unlimited,
-			// 0 normalizes to the default budget.
-			capFrames := *capacity
-			switch {
-			case capFrames < -1:
-				return usageError(fmt.Sprintf("invalid -oms-capacity %d: want a frame count, 0 for the default, or -1 for unlimited", capFrames))
-			case capFrames == -1:
-				capFrames = 0 // unlimited: never hand SetCapacity a budget
-			case capFrames == 0:
-				capFrames = defaults.Capacity
-			}
-			outs, err := tel.open()
-			if err != nil {
-				return err
-			}
-			defer outs.close()
-			params := exp.OMSStressParams{
-				Tenants:  *tenants,
-				Ops:      *ops,
-				Segments: *segments,
-				Capacity: capFrames,
-				Spill:    *spill,
-				Shared:   *shared,
-			}
-			ctx, finishSpans := tel.traceContext("omsstress")
-			results, _, err := exp.RunOMSStressPool(ctx, pool, params)
-			if err != nil {
-				return err
-			}
-			exp.PrintOMSStress(stdout, params, results)
-			if !tel.wanted() {
-				return nil
-			}
-			ex := sim.NewExport("omsstress")
-			ex.Results = results
-			return outs.write(ex, nil, nil, finishSpans())
+			spec.Report(stdout, out)
+			return outs.write(out.Export, pool.Trace, finishSpans())
 		},
 	}
 }
@@ -885,7 +514,9 @@ func newBenchCmd() *command {
 func newStatsCmd() *command {
 	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
 	bench := fs.String("bench", "mcf", "benchmark to run")
-	backend := addBackendFlag(fs)
+	backend := fs.String("backend", "",
+		fmt.Sprintf("translation backend: one of %s (default %s)",
+			strings.Join(core.Backends(), ", "), core.DefaultBackend))
 	overlay := fs.Bool("overlay", true, "use overlay-on-write (false: copy-on-write)")
 	measure := fs.Uint64("measure", exp.QuickForkParams().MeasureInstructions, "instructions after fork")
 	tel := addTelemetryFlags(fs)
@@ -925,14 +556,7 @@ func newStatsCmd() *command {
 				return err
 			}
 			fmt.Fprint(stdout, out)
-			if !tel.wanted() {
-				return nil
-			}
-			var series []*sim.Series
-			if r, ok := ex.Results.(exp.MechanismResult); ok && r.Series != nil {
-				series = append(series, r.Series)
-			}
-			return outs.write(ex, series, tl, finishSpans())
+			return outs.write(ex, tl, finishSpans())
 		},
 	}
 }

@@ -170,10 +170,14 @@ func TestExitCodes(t *testing.T) {
 		{"serve zero grace", []string{"serve", "-grace=0"}, 2},
 		{"serve unlistenable addr", []string{"serve", "-addr=999.999.999.999:0"}, 2},
 
+		// The experiment subcommands validate through exp.JobSpec, so an
+		// unknown benchmark is a usage error there, as it is a 400 from
+		// serve.
+		{"fork unknown benchmark", []string{"fork", "-bench=notabench"}, 2},
+		{"compare unknown benchmark", []string{"compare", "-bench=notabench"}, 2},
+
 		// Runtime errors → 1.
 		{"stats unknown benchmark", []string{"stats", "-bench=notabench"}, 1},
-		{"fork unknown benchmark", []string{"fork", "-bench=notabench"}, 1},
-		{"compare unknown benchmark", []string{"compare", "-bench=notabench"}, 1},
 		{"trace replay missing file", []string{"trace", "-in=/nonexistent/trace.bin"}, 1},
 		{"trace record unwritable", []string{"trace", "-out=/nonexistent/dir/trace.bin", "-n=1"}, 1},
 		{"bench missing baseline", []string{"bench", "-check=/nonexistent/baseline.json"}, 1},

@@ -460,8 +460,9 @@ func RunStatsExport(ctx context.Context, spec workload.Spec, cfg core.Config, pa
 
 // ForkExport bundles a fork-suite run into one machine-readable export:
 // counters and histograms merged across every (benchmark, mechanism) run,
-// one post-fork series per run, and the Figure 8/9 rows as results.
-func ForkExport(params ForkParams, results []ForkResult) *sim.Export {
+// one post-fork series per run, and the Figure 8/9 rows as results. It
+// also returns the merged registry, whose histograms stay live.
+func ForkExport(params ForkParams, results []ForkResult) (*sim.Export, *sim.Stats) {
 	merged := &sim.Stats{}
 	var series []*sim.Series
 	for i := range results {
@@ -475,7 +476,7 @@ func ForkExport(params ForkParams, results []ForkResult) *sim.Export {
 	ex := sim.ExportFrom("fork", merged, series...)
 	ex.Config = params
 	ex.Results = results
-	return ex
+	return ex, merged
 }
 
 // runToFork builds the system, warms the benchmark, and forks.

@@ -11,6 +11,7 @@ import (
 	"io"
 
 	"repro/internal/harness"
+	"repro/internal/sim"
 	"repro/internal/sparse"
 )
 
@@ -45,6 +46,13 @@ type Pool struct {
 	// with a common configuration family skip the warm-up entirely.
 	// With a nil cache every run builds its own families.
 	Snapshots *SnapshotCache
+
+	// Epoch and Trace are the fork CLI's -epoch and -tracelog inputs,
+	// kept out of the job spec and its cache key: the post-fork series
+	// sampling period in cycles (0 = sim.DefaultEpoch) and the trace
+	// ring that receives structured simulator events (nil = none).
+	Epoch sim.Cycle
+	Trace *sim.TraceLog
 }
 
 // opts builds the harness options for one labelled sweep.

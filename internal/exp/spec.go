@@ -1,12 +1,15 @@
 package exp
 
-// This file defines the canonical job spec: the JSON document `overlaysim
-// serve` accepts over HTTP, validated against the same flag tables the
-// CLI subcommands expose. A spec round-trips to a CLI invocation
-// (CLIArgs ↔ SpecFromArgs), normalises to the CLI's defaults, and hashes
-// to a cache key that identifies the simulated result — the simulator is
-// deterministic and the harness is bit-identical at any worker count, so
-// two specs with the same key have the same result by construction.
+// This file defines the experiment table and the canonical job spec.
+// Each Experiments row is the only place that knows one experiment: its
+// flags (with the CLI's defaults and usage strings), its runner and its
+// stdout report. The CLI subcommands, SpecFromArgs, Validate, Normalized
+// and CLIArgs all read the row, and the JSON document `overlaysim serve`
+// accepts is the same flag table as a struct. A spec normalises to the
+// CLI's defaults and hashes to a cache key that identifies the simulated
+// result — the simulator is deterministic and the harness is
+// bit-identical at any worker count, so two specs with the same key have
+// the same result by construction.
 
 import (
 	"context"
@@ -16,6 +19,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"reflect"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -24,18 +29,271 @@ import (
 	"repro/internal/workload"
 )
 
-// Experiments lists the experiment names a JobSpec may carry, in the
-// order the CLI documents them.
-var Experiments = []string{"fork", "spmv", "linesize", "sweep", "dualcore", "compare", "omsstress"}
+// Experiment is one row of the experiment table.
+type Experiment struct {
+	Name    string
+	Summary string
+
+	// flags registers the experiment's own flags onto s, with the CLI's
+	// defaults and usage strings (-parallel is added for every row).
+	flags func(fs *flag.FlagSet, s *JobSpec)
+
+	// run executes a validated, normalized spec on the pool.
+	run func(ctx context.Context, pool Pool, n JobSpec) (*JobOutput, error)
+
+	// report prints the CLI's stdout tables for a finished run.
+	report func(w io.Writer, n JobSpec, out *JobOutput)
+}
+
+// Experiments is the experiment table, in the order the CLI documents
+// the subcommands.
+var Experiments = []Experiment{
+	{
+		Name:    "fork",
+		Summary: "Figures 8 and 9: overlay-on-write vs copy-on-write",
+		flags: func(fs *flag.FlagSet, s *JobSpec) {
+			d := DefaultForkParams()
+			fs.Uint64Var(&s.Warm, "warm", d.WarmInstructions, "warm-up instructions before the fork")
+			fs.Uint64Var(&s.Measure, "measure", d.MeasureInstructions, "instructions measured after the fork")
+			fs.StringVar(&s.Bench, "bench", "", "run a single benchmark (default: all 15)")
+			fs.StringVar(&s.Backend, "backend", core.DefaultBackend,
+				"translation backend: one of "+strings.Join(core.Backends(), ", "))
+			coldFlag(fs, s)
+		},
+		run: runFork,
+		report: func(w io.Writer, _ JobSpec, out *JobOutput) {
+			results := out.Export.Results.([]ForkResult)
+			PrintFigure8(w, results)
+			fmt.Fprintln(w)
+			PrintFigure9(w, results)
+		},
+	},
+	{
+		Name:    "spmv",
+		Summary: "Figure 10: SpMV with overlays vs CSR",
+		flags: func(fs *flag.FlagSet, s *JobSpec) {
+			fs.IntVar(&s.Matrices, "matrices", 0, "number of suite matrices to run (0 = all 87)")
+			fs.BoolVar(&s.Dense, "dense", false, "also run the dense baseline")
+			coldFlag(fs, s)
+		},
+		run: func(ctx context.Context, pool Pool, n JobSpec) (*JobOutput, error) {
+			results, err := RunFigure10Pool(ctx, pool, n.Matrices, n.Dense)
+			return resultsOutput("spmv", results, err)
+		},
+		report: func(w io.Writer, _ JobSpec, out *JobOutput) {
+			PrintFigure10(w, out.Export.Results.([]SpMVResult))
+		},
+	},
+	{
+		Name:    "linesize",
+		Summary: "Figure 11: memory overhead vs mapping granularity",
+		flags: func(fs *flag.FlagSet, s *JobSpec) {
+			fs.IntVar(&s.Matrices, "matrices", 0, "number of suite matrices (0 = all 87)")
+			// linesize is purely analytic (a degenerate family with
+			// nothing to warm), but it accepts -cold so every suite
+			// experiment has the same execution hints.
+			coldFlag(fs, s)
+		},
+		run: func(ctx context.Context, pool Pool, n JobSpec) (*JobOutput, error) {
+			results, err := RunFigure11Pool(ctx, pool, n.Matrices)
+			return resultsOutput("linesize", results, err)
+		},
+		report: func(w io.Writer, _ JobSpec, out *JobOutput) {
+			PrintFigure11(w, out.Export.Results.([]LineSizeResult))
+		},
+	},
+	{
+		Name:    "sweep",
+		Summary: "§5.2 sparsity sweep: overlays vs dense",
+		flags: func(fs *flag.FlagSet, s *JobSpec) {
+			fs.IntVar(&s.Points, "points", 11, "sparsity levels between 0%% and 100%%")
+			fs.IntVar(&s.Rows, "rows", 256, "matrix dimension")
+			coldFlag(fs, s)
+		},
+		run: func(ctx context.Context, pool Pool, n JobSpec) (*JobOutput, error) {
+			results, err := RunSparsitySweepPool(ctx, pool, n.Points, n.Rows)
+			return resultsOutput("sweep", results, err)
+		},
+		report: func(w io.Writer, _ JobSpec, out *JobOutput) {
+			PrintSweep(w, out.Export.Results.([]SweepResult))
+		},
+	},
+	{
+		Name:    "dualcore",
+		Summary: "extension: page divergence with both processes running",
+		flags:   func(*flag.FlagSet, *JobSpec) {},
+		run: func(ctx context.Context, pool Pool, _ JobSpec) (*JobOutput, error) {
+			results, err := RunDualCorePool(ctx, pool)
+			return resultsOutput("dualcore", results, err)
+		},
+		report: func(w io.Writer, _ JobSpec, out *JobOutput) {
+			PrintDualCore(w, out.Export.Results.([]DualCoreResult))
+		},
+	},
+	{
+		Name:    "compare",
+		Summary: "run the same workloads across translation backends (overlay, baseline, vbi, utopia)",
+		flags: func(fs *flag.FlagSet, s *JobSpec) {
+			d := DefaultCompareParams()
+			fs.StringVar(&s.Bench, "bench", d.Bench, "fork benchmark each backend runs")
+			fs.StringVar(&s.Backend, "backend", "",
+				"run only this translation backend: one of "+strings.Join(core.Backends(), ", ")+" (default: all)")
+			fs.Uint64Var(&s.Warm, "warm", d.Warm, "warm-up instructions before the fork")
+			fs.Uint64Var(&s.Measure, "measure", d.Measure, "instructions measured after the fork")
+			fs.IntVar(&s.Matrices, "matrices", d.Matrices, "SpMV suite matrices each backend runs")
+			coldFlag(fs, s)
+		},
+		run: func(ctx context.Context, pool Pool, n JobSpec) (*JobOutput, error) {
+			params := CompareParams{Bench: n.Bench, Warm: n.Warm, Measure: n.Measure, Matrices: n.Matrices}
+			if n.Backend != "" {
+				params.Backends = []string{n.Backend}
+			}
+			report, err := RunComparePool(ctx, pool, params)
+			if err != nil {
+				return nil, err
+			}
+			return &JobOutput{Export: CompareExport(params, report)}, nil
+		},
+		report: func(w io.Writer, _ JobSpec, out *JobOutput) {
+			PrintCompare(w, out.Export.Results.(*CompareReport))
+		},
+	},
+	{
+		Name:    "omsstress",
+		Summary: "multi-tenant OMS buffer-manager churn: cooling eviction and beyond-DRAM spill",
+		flags: func(fs *flag.FlagSet, s *JobSpec) {
+			d := DefaultOMSStressParams()
+			fs.IntVar(&s.Tenants, "tenants", d.Tenants, "concurrent tenant stores")
+			fs.IntVar(&s.Ops, "ops", d.Ops, "churn operations per tenant")
+			fs.IntVar(&s.Segments, "segments", d.Segments, "overlay segments per tenant (working-set bound)")
+			fs.IntVar(&s.OMSCapacity, "oms-capacity", d.Capacity, "frame budget per tenant store (-1 = unlimited, no eviction)")
+			fs.Var(spillFlag{&s.NoSpill}, "oms-spill", "evict cold segments to the modeled spill tier")
+			fs.BoolVar(&s.Shared, "shared", false, "route all tenants through one lock-striped shared store (results are bit-identical either way)")
+		},
+		run: func(ctx context.Context, pool Pool, n JobSpec) (*JobOutput, error) {
+			results, stats, err := RunOMSStressPool(ctx, pool, omsStressParams(n))
+			out, err := resultsOutput("omsstress", results, err)
+			if err != nil {
+				return nil, err
+			}
+			out.Stats = stats
+			return out, nil
+		},
+		report: func(w io.Writer, n JobSpec, out *JobOutput) {
+			PrintOMSStress(w, omsStressParams(n), out.Export.Results.([]OMSStressResult))
+		},
+	},
+}
+
+// experimentNamed returns the table row for name.
+func experimentNamed(name string) (Experiment, bool) {
+	for _, e := range Experiments {
+		if e.Name == name {
+			return e, true
+		}
+	}
+	return Experiment{}, false
+}
+
+// Flags registers e's flags (the row's own plus -parallel) onto fs and
+// returns the spec they parse into, holding the CLI defaults until
+// fs.Parse runs.
+func (e Experiment) Flags(fs *flag.FlagSet) *JobSpec {
+	s := &JobSpec{Experiment: e.Name}
+	e.flags(fs, s)
+	fs.IntVar(&s.Parallel, "parallel", 1, "worker goroutines for independent simulations (0 = GOMAXPROCS)")
+	return s
+}
+
+// coldFlag registers -cold on experiments with a warm-state snapshot
+// path.
+func coldFlag(fs *flag.FlagSet, s *JobSpec) {
+	fs.BoolVar(&s.Cold, "cold", false, "disable warm-state snapshot reuse (results are bit-identical either way)")
+}
+
+// spillFlag is the CLI's -oms-spill, the positive form of
+// JobSpec.NoSpill. The zero value (no target) reads as false, so flag
+// usage still prints the true default.
+type spillFlag struct{ noSpill *bool }
+
+func (f spillFlag) String() string   { return strconv.FormatBool(f.noSpill != nil && !*f.noSpill) }
+func (f spillFlag) IsBoolFlag() bool { return true }
+
+func (f spillFlag) Set(v string) error {
+	b, err := strconv.ParseBool(v)
+	if err != nil {
+		return err
+	}
+	*f.noSpill = !b
+	return nil
+}
+
+// resultsOutput wraps a runner's result rows in the experiment's export.
+func resultsOutput(command string, results any, err error) (*JobOutput, error) {
+	if err != nil {
+		return nil, err
+	}
+	ex := sim.NewExport(command)
+	ex.Results = results
+	return &JobOutput{Export: ex}, nil
+}
+
+// runFork runs the Figure 8/9 suite. The series epoch and the simulator
+// trace ring come from the pool: they are CLI-only inputs, outside the
+// spec and its cache key.
+func runFork(ctx context.Context, pool Pool, n JobSpec) (*JobOutput, error) {
+	params := ForkParams{
+		WarmInstructions:    n.Warm,
+		MeasureInstructions: n.Measure,
+		Backend:             n.Backend,
+		SeriesEpoch:         pool.Epoch,
+		Trace:               pool.Trace,
+	}
+	if params.SeriesEpoch == 0 {
+		params.SeriesEpoch = sim.DefaultEpoch
+	}
+	// The default backend renders as the empty string so the export's
+	// config block and the warm-state family keys match a run that never
+	// named a backend.
+	if params.Backend == core.DefaultBackend {
+		params.Backend = ""
+	}
+	var names []string
+	if n.Bench != "" {
+		names = []string{n.Bench}
+	}
+	results, err := RunForkSuitePool(ctx, pool, params, names)
+	if err != nil {
+		return nil, err
+	}
+	ex, stats := ForkExport(params, results)
+	return &JobOutput{Export: ex, Stats: stats}, nil
+}
+
+// omsStressParams maps a normalized spec onto the churn workload.
+func omsStressParams(n JobSpec) OMSStressParams {
+	p := OMSStressParams{
+		Tenants:  n.Tenants,
+		Ops:      n.Ops,
+		Segments: n.Segments,
+		Capacity: n.OMSCapacity,
+		Spill:    !n.NoSpill,
+		Shared:   n.Shared,
+	}
+	if p.Capacity < 0 {
+		p.Capacity = 0 // -1 in the spec means unlimited
+	}
+	return p
+}
 
 // JobSpec is one experiment request in canonical form: the experiment
-// name plus exactly the flags the matching CLI subcommand accepts.
-// Fields that do not apply to the chosen experiment must be zero — a
-// spec carrying them is rejected, the same way the CLI rejects an
+// name plus exactly the flags the matching CLI subcommand accepts. Each
+// field's flag is its JSON name unless a flag tag says otherwise.
+// Fields whose flag the experiment's row does not register must be zero
+// — a spec carrying them is rejected, the same way the CLI rejects an
 // unknown flag.
 type JobSpec struct {
-	// Experiment selects the runner: fork, spmv, linesize, sweep or
-	// dualcore.
+	// Experiment names the Experiments row that runs the spec.
 	Experiment string `json:"experiment"`
 
 	// Parallel is the harness worker count (0 = GOMAXPROCS). It is an
@@ -83,12 +341,12 @@ type JobSpec struct {
 
 	// OMSCapacity is each tenant store's frame budget for omsstress:
 	// 0 = the CLI default (32), -1 = unlimited (no eviction).
-	OMSCapacity int `json:"oms_capacity,omitempty"`
+	OMSCapacity int `json:"oms_capacity,omitempty" flag:"oms-capacity"`
 
 	// NoSpill disables the beyond-DRAM spill tier for omsstress; a
 	// capped store then grants overflow frames and counts overruns
 	// instead of evicting.
-	NoSpill bool `json:"nospill,omitempty"`
+	NoSpill bool `json:"nospill,omitempty" flag:"oms-spill"`
 
 	// Shared routes omsstress tenants through one lock-striped shared
 	// store. Like Parallel it is an execution hint only — per-tenant op
@@ -133,171 +391,66 @@ func ParseJobSpec(r io.Reader) (JobSpec, error) {
 	return s, nil
 }
 
-// specDefaults returns the CLI defaults for the spec's experiment.
-func specDefaults(experiment string) JobSpec {
-	d := JobSpec{Experiment: experiment}
-	switch experiment {
-	case "fork":
-		p := DefaultForkParams()
-		d.Warm, d.Measure = p.WarmInstructions, p.MeasureInstructions
-		d.Backend = core.DefaultBackend
-	case "sweep":
-		d.Points, d.Rows = 11, 256
-	case "compare":
-		p := DefaultCompareParams()
-		d.Bench = p.Bench
-		d.Warm, d.Measure = p.Warm, p.Measure
-		d.Matrices = p.Matrices
-	case "omsstress":
-		p := DefaultOMSStressParams()
-		d.Tenants, d.Ops, d.Segments = p.Tenants, p.Ops, p.Segments
-		d.OMSCapacity = p.Capacity
-	}
-	return d
-}
-
 // Normalized fills zero fields with the CLI defaults for the spec's
-// experiment. It does not validate.
+// experiment (the defaults its table row registers). Parallel stays as
+// given: 0 means the executing pool's own worker count. It does not
+// validate.
 func (s JobSpec) Normalized() JobSpec {
-	d := specDefaults(s.Experiment)
-	if s.Bench == "" {
-		s.Bench = d.Bench
+	e, ok := experimentNamed(s.Experiment)
+	if !ok {
+		return s
 	}
-	if s.Backend == "" {
-		s.Backend = d.Backend
-	}
-	if s.Warm == 0 {
-		s.Warm = d.Warm
-	}
-	if s.Measure == 0 {
-		s.Measure = d.Measure
-	}
-	if s.Matrices == 0 {
-		s.Matrices = d.Matrices
-	}
-	if s.Points == 0 {
-		s.Points = d.Points
-	}
-	if s.Rows == 0 {
-		s.Rows = d.Rows
-	}
-	if s.Tenants == 0 {
-		s.Tenants = d.Tenants
-	}
-	if s.Ops == 0 {
-		s.Ops = d.Ops
-	}
-	if s.Segments == 0 {
-		s.Segments = d.Segments
-	}
-	if s.OMSCapacity == 0 {
-		s.OMSCapacity = d.OMSCapacity
+	d := e.Flags(flag.NewFlagSet(e.Name, flag.ContinueOnError))
+	v, dv := reflect.ValueOf(&s).Elem(), reflect.ValueOf(*d)
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.IsZero() && v.Type().Field(i).Name != "Parallel" {
+			f.Set(dv.Field(i))
+		}
 	}
 	return s
 }
 
-// Validate checks the spec against its experiment's flag table: the
-// experiment must exist, inapplicable fields must be zero, and value
-// constraints mirror the CLI's usage errors exactly.
+// Validate checks the spec against its experiment's table row: the
+// experiment must exist, fields whose flag the row does not register
+// must be zero, and value constraints mirror the CLI's usage errors
+// exactly.
 func (s JobSpec) Validate() error {
-	var problems []string
-	known := false
-	for _, e := range Experiments {
-		if s.Experiment == e {
-			known = true
-			break
+	e, ok := experimentNamed(s.Experiment)
+	if !ok {
+		names := make([]string, len(Experiments))
+		for i, e := range Experiments {
+			names[i] = e.Name
 		}
+		return &ValidationError{Problems: []string{fmt.Sprintf("unknown experiment %q (want one of %s)",
+			s.Experiment, strings.Join(names, ", "))}}
 	}
-	if !known {
-		problems = append(problems, fmt.Sprintf("unknown experiment %q (want one of %s)",
-			s.Experiment, strings.Join(Experiments, ", ")))
-		return &ValidationError{Problems: problems}
-	}
+	fs := flag.NewFlagSet(e.Name, flag.ContinueOnError)
+	e.Flags(fs)
+	applies := func(name string) bool { return fs.Lookup(name) != nil }
 
-	reject := func(field string, set bool) {
-		if set {
+	var problems []string
+	v, t := reflect.ValueOf(s), reflect.TypeOf(s)
+	for i := 1; i < t.NumField(); i++ { // field 0 is Experiment
+		field := strings.TrimSuffix(t.Field(i).Tag.Get("json"), ",omitempty")
+		name := t.Field(i).Tag.Get("flag")
+		if name == "" {
+			name = field
+		}
+		if !v.Field(i).IsZero() && !applies(name) {
 			problems = append(problems,
 				fmt.Sprintf("field %q does not apply to experiment %q", field, s.Experiment))
 		}
 	}
-	switch s.Experiment {
-	case "fork":
-		reject("matrices", s.Matrices != 0)
-		reject("dense", s.Dense)
-		reject("points", s.Points != 0)
-		reject("rows", s.Rows != 0)
-		if s.Bench != "" {
-			if _, err := workload.ByName(s.Bench); err != nil {
-				problems = append(problems, err.Error())
-			}
+	if applies("bench") && s.Bench != "" {
+		if _, err := workload.ByName(s.Bench); err != nil {
+			problems = append(problems, err.Error())
 		}
+	}
+	if applies("backend") {
 		if err := core.ValidBackend(s.Backend); err != nil {
 			problems = append(problems, err.Error())
 		}
-	case "spmv":
-		reject("bench", s.Bench != "")
-		reject("backend", s.Backend != "")
-		reject("warm", s.Warm != 0)
-		reject("measure", s.Measure != 0)
-		reject("points", s.Points != 0)
-		reject("rows", s.Rows != 0)
-	case "linesize":
-		reject("bench", s.Bench != "")
-		reject("backend", s.Backend != "")
-		reject("warm", s.Warm != 0)
-		reject("measure", s.Measure != 0)
-		reject("dense", s.Dense)
-		reject("points", s.Points != 0)
-		reject("rows", s.Rows != 0)
-	case "sweep":
-		reject("bench", s.Bench != "")
-		reject("backend", s.Backend != "")
-		reject("warm", s.Warm != 0)
-		reject("measure", s.Measure != 0)
-		reject("matrices", s.Matrices != 0)
-		reject("dense", s.Dense)
-	case "dualcore":
-		reject("bench", s.Bench != "")
-		reject("backend", s.Backend != "")
-		reject("warm", s.Warm != 0)
-		reject("measure", s.Measure != 0)
-		reject("matrices", s.Matrices != 0)
-		reject("dense", s.Dense)
-		reject("points", s.Points != 0)
-		reject("rows", s.Rows != 0)
-		reject("cold", s.Cold)
-	case "compare":
-		reject("dense", s.Dense)
-		reject("points", s.Points != 0)
-		reject("rows", s.Rows != 0)
-		if s.Bench != "" {
-			if _, err := workload.ByName(s.Bench); err != nil {
-				problems = append(problems, err.Error())
-			}
-		}
-		if err := core.ValidBackend(s.Backend); err != nil {
-			problems = append(problems, err.Error())
-		}
-	case "omsstress":
-		reject("bench", s.Bench != "")
-		reject("backend", s.Backend != "")
-		reject("warm", s.Warm != 0)
-		reject("measure", s.Measure != 0)
-		reject("matrices", s.Matrices != 0)
-		reject("dense", s.Dense)
-		reject("points", s.Points != 0)
-		reject("rows", s.Rows != 0)
-		reject("cold", s.Cold)
 	}
-	if s.Experiment != "omsstress" {
-		reject("tenants", s.Tenants != 0)
-		reject("ops", s.Ops != 0)
-		reject("segments", s.Segments != 0)
-		reject("oms_capacity", s.OMSCapacity != 0)
-		reject("nospill", s.NoSpill)
-		reject("shared", s.Shared)
-	}
-
 	if s.Parallel < 0 {
 		problems = append(problems, fmt.Sprintf("invalid parallel %d: must be >= 0", s.Parallel))
 	}
@@ -305,29 +458,26 @@ func (s JobSpec) Validate() error {
 		problems = append(problems, fmt.Sprintf("invalid matrices %d: must be >= 0", s.Matrices))
 	}
 	n := s.Normalized()
-	if s.Experiment == "sweep" {
-		if n.Points < 2 {
-			problems = append(problems, fmt.Sprintf("invalid points %d: need at least 2 sweep points", n.Points))
-		}
+	if applies("points") && n.Points < 2 {
+		problems = append(problems, fmt.Sprintf("invalid points %d: need at least 2 sweep points", n.Points))
+	}
+	if applies("rows") {
 		if n.Rows < sparse.ValuesPerLine {
 			problems = append(problems, fmt.Sprintf("invalid rows %d: need at least one cache line of values", n.Rows))
 		} else if n.Rows%sparse.ValuesPerLine != 0 {
 			problems = append(problems, fmt.Sprintf("invalid rows %d: must be a multiple of %d (whole cache lines of values)", n.Rows, sparse.ValuesPerLine))
 		}
 	}
-	if s.Experiment == "omsstress" {
-		if n.Tenants < 1 {
-			problems = append(problems, fmt.Sprintf("invalid tenants %d: need at least 1", n.Tenants))
+	for _, c := range []struct {
+		name  string
+		value int
+	}{{"tenants", n.Tenants}, {"ops", n.Ops}, {"segments", n.Segments}} {
+		if applies(c.name) && c.value < 1 {
+			problems = append(problems, fmt.Sprintf("invalid %s %d: need at least 1", c.name, c.value))
 		}
-		if n.Ops < 1 {
-			problems = append(problems, fmt.Sprintf("invalid ops %d: need at least 1", n.Ops))
-		}
-		if n.Segments < 1 {
-			problems = append(problems, fmt.Sprintf("invalid segments %d: need at least 1", n.Segments))
-		}
-		if n.OMSCapacity < -1 {
-			problems = append(problems, fmt.Sprintf("invalid oms_capacity %d: want a frame count, 0 for the default, or -1 for unlimited", n.OMSCapacity))
-		}
+	}
+	if applies("oms-capacity") && n.OMSCapacity < -1 {
+		problems = append(problems, fmt.Sprintf("invalid oms_capacity %d: want a frame count, 0 for the default, or -1 for unlimited", n.OMSCapacity))
 	}
 	if len(problems) > 0 {
 		return &ValidationError{Problems: problems}
@@ -360,140 +510,44 @@ func (s JobSpec) Key() string {
 }
 
 // CLIArgs renders the spec as the equivalent overlaysim invocation —
-// subcommand first, then one flag per non-default field. Feeding the
-// result back through SpecFromArgs yields the normalized spec; running
-// it through the CLI with -json yields a byte-identical export.
+// subcommand first, then one flag per field that differs from the
+// flag's CLI default (Parallel 0 renders as -parallel=0). Feeding the
+// result back through SpecFromArgs yields the normalized spec.
 func (s JobSpec) CLIArgs() []string {
 	args := []string{s.Experiment}
-	d := specDefaults(s.Experiment)
-	n := s.Normalized()
-	switch s.Experiment {
-	case "fork":
-		if n.Bench != "" {
-			args = append(args, "-bench="+n.Bench)
-		}
-		if n.Backend != d.Backend {
-			args = append(args, "-backend="+n.Backend)
-		}
-		if n.Warm != d.Warm {
-			args = append(args, fmt.Sprintf("-warm=%d", n.Warm))
-		}
-		if n.Measure != d.Measure {
-			args = append(args, fmt.Sprintf("-measure=%d", n.Measure))
-		}
-	case "compare":
-		if n.Bench != d.Bench {
-			args = append(args, "-bench="+n.Bench)
-		}
-		if n.Backend != "" {
-			args = append(args, "-backend="+n.Backend)
-		}
-		if n.Warm != d.Warm {
-			args = append(args, fmt.Sprintf("-warm=%d", n.Warm))
-		}
-		if n.Measure != d.Measure {
-			args = append(args, fmt.Sprintf("-measure=%d", n.Measure))
-		}
-		if n.Matrices != d.Matrices {
-			args = append(args, fmt.Sprintf("-matrices=%d", n.Matrices))
-		}
-	case "spmv":
-		if n.Matrices != 0 {
-			args = append(args, fmt.Sprintf("-matrices=%d", n.Matrices))
-		}
-		if n.Dense {
-			args = append(args, "-dense")
-		}
-	case "linesize":
-		if n.Matrices != 0 {
-			args = append(args, fmt.Sprintf("-matrices=%d", n.Matrices))
-		}
-	case "sweep":
-		if n.Points != d.Points {
-			args = append(args, fmt.Sprintf("-points=%d", n.Points))
-		}
-		if n.Rows != d.Rows {
-			args = append(args, fmt.Sprintf("-rows=%d", n.Rows))
-		}
-	case "omsstress":
-		if n.Tenants != d.Tenants {
-			args = append(args, fmt.Sprintf("-tenants=%d", n.Tenants))
-		}
-		if n.Ops != d.Ops {
-			args = append(args, fmt.Sprintf("-ops=%d", n.Ops))
-		}
-		if n.Segments != d.Segments {
-			args = append(args, fmt.Sprintf("-segments=%d", n.Segments))
-		}
-		if n.OMSCapacity != d.OMSCapacity {
-			args = append(args, fmt.Sprintf("-oms-capacity=%d", n.OMSCapacity))
-		}
-		if n.NoSpill {
-			args = append(args, "-oms-spill=false")
-		}
-		if n.Shared {
-			args = append(args, "-shared")
-		}
+	e, ok := experimentNamed(s.Experiment)
+	if !ok {
+		return args
 	}
-	if n.Cold && n.Experiment != "dualcore" && n.Experiment != "omsstress" {
-		args = append(args, "-cold")
-	}
-	if n.Parallel != 0 {
-		args = append(args, fmt.Sprintf("-parallel=%d", n.Parallel))
-	}
+	fs := flag.NewFlagSet(e.Name, flag.ContinueOnError)
+	// The flags are bound to the returned spec: overwrite it so each
+	// flag's Value reads the normalized field.
+	*e.Flags(fs) = s.Normalized()
+	fs.VisitAll(func(f *flag.Flag) {
+		if v := f.Value.String(); v != f.DefValue {
+			args = append(args, "-"+f.Name+"="+v)
+		}
+	})
 	return args
 }
 
 // SpecFromArgs parses an overlaysim experiment invocation (subcommand
-// followed by its flags) back into a validated JobSpec — the inverse of
-// CLIArgs. The flag set registered per experiment is the same table the
-// CLI subcommand exposes, so any invocation the CLI accepts for these
-// experiments parses here too.
+// followed by its flags) into a validated, normalized JobSpec. It parses
+// through the experiment's table row — the same flags, with the same
+// defaults, the CLI subcommand registers — so any experiment invocation
+// the CLI accepts parses here too.
 func SpecFromArgs(args []string) (JobSpec, error) {
 	if len(args) == 0 {
 		return JobSpec{}, &ValidationError{Problems: []string{"empty invocation"}}
 	}
-	s := JobSpec{Experiment: args[0]}
-	fs := flag.NewFlagSet(s.Experiment, flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	omsSpill := true
-	switch s.Experiment {
-	case "fork":
-		fs.StringVar(&s.Bench, "bench", "", "")
-		fs.StringVar(&s.Backend, "backend", "", "")
-		fs.Uint64Var(&s.Warm, "warm", 0, "")
-		fs.Uint64Var(&s.Measure, "measure", 0, "")
-	case "compare":
-		fs.StringVar(&s.Bench, "bench", "", "")
-		fs.StringVar(&s.Backend, "backend", "", "")
-		fs.Uint64Var(&s.Warm, "warm", 0, "")
-		fs.Uint64Var(&s.Measure, "measure", 0, "")
-		fs.IntVar(&s.Matrices, "matrices", 0, "")
-	case "spmv":
-		fs.IntVar(&s.Matrices, "matrices", 0, "")
-		fs.BoolVar(&s.Dense, "dense", false, "")
-	case "linesize":
-		fs.IntVar(&s.Matrices, "matrices", 0, "")
-	case "sweep":
-		fs.IntVar(&s.Points, "points", 0, "")
-		fs.IntVar(&s.Rows, "rows", 0, "")
-	case "dualcore":
-		// only the shared flags
-	case "omsstress":
-		fs.IntVar(&s.Tenants, "tenants", 0, "")
-		fs.IntVar(&s.Ops, "ops", 0, "")
-		fs.IntVar(&s.Segments, "segments", 0, "")
-		fs.IntVar(&s.OMSCapacity, "oms-capacity", 0, "")
-		fs.BoolVar(&omsSpill, "oms-spill", true, "")
-		fs.BoolVar(&s.Shared, "shared", false, "")
-	default:
+	e, ok := experimentNamed(args[0])
+	if !ok {
 		return JobSpec{}, &ValidationError{Problems: []string{
-			fmt.Sprintf("unknown experiment %q", s.Experiment)}}
+			fmt.Sprintf("unknown experiment %q", args[0])}}
 	}
-	if s.Experiment != "dualcore" && s.Experiment != "omsstress" {
-		fs.BoolVar(&s.Cold, "cold", false, "")
-	}
-	fs.IntVar(&s.Parallel, "parallel", 0, "")
+	fs := flag.NewFlagSet(e.Name, flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	s := e.Flags(fs)
 	if err := fs.Parse(args[1:]); err != nil {
 		return JobSpec{}, &ValidationError{Problems: []string{err.Error()}}
 	}
@@ -501,25 +555,23 @@ func SpecFromArgs(args []string) (JobSpec, error) {
 		return JobSpec{}, &ValidationError{Problems: []string{
 			fmt.Sprintf("unexpected arguments %v", fs.Args())}}
 	}
-	if s.Experiment == "omsstress" && !omsSpill {
-		s.NoSpill = true
-	}
 	if err := s.Validate(); err != nil {
 		return JobSpec{}, err
 	}
 	return s.Normalized(), nil
 }
 
-// Run executes the spec on the pool and returns the same export the
-// matching CLI subcommand writes with -json — byte for byte, so a
-// served job and a CLI run of CLIArgs() are interchangeable. The pool's
-// Parallel is overridden by the spec's when set. A context cancelled
-// mid-run surfaces as ctx.Err() even when the underlying sweep had
-// already finished its in-flight simulations.
+// Run executes the spec on the pool and returns the export the matching
+// CLI subcommand writes with -json — the CLI runs every experiment
+// through this method, so a served job and a CLI run are interchangeable
+// by construction. The pool's Parallel is overridden by the spec's when
+// set. A context cancelled mid-run surfaces as ctx.Err() even when the
+// underlying sweep had already finished its in-flight simulations.
 func (s JobSpec) Run(ctx context.Context, pool Pool) (*JobOutput, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	e, _ := experimentNamed(s.Experiment)
 	n := s.Normalized()
 	if n.Parallel != 0 {
 		pool.Parallel = n.Parallel
@@ -530,100 +582,9 @@ func (s JobSpec) Run(ctx context.Context, pool Pool) (*JobOutput, error) {
 	if pool.Snap == nil {
 		pool.Snap = &SnapshotStats{}
 	}
-	out := &JobOutput{}
-	switch n.Experiment {
-	case "fork":
-		params := ForkParams{
-			WarmInstructions:    n.Warm,
-			MeasureInstructions: n.Measure,
-			Backend:             n.Backend,
-			SeriesEpoch:         sim.DefaultEpoch,
-		}
-		// The default backend renders as the empty string so the export's
-		// config block is byte-identical to a CLI run without -backend.
-		if params.Backend == core.DefaultBackend {
-			params.Backend = ""
-		}
-		var names []string
-		if n.Bench != "" {
-			names = []string{n.Bench}
-		}
-		results, err := RunForkSuitePool(ctx, pool, params, names)
-		if err != nil {
-			return nil, err
-		}
-		// ForkExport bundles the merged registry and per-run series
-		// exactly as the CLI does; re-merge the stats here so the
-		// caller gets live histograms, not just their summaries.
-		out.Export = ForkExport(params, results)
-		merged := &sim.Stats{}
-		for i := range results {
-			merged.Merge(results[i].CoW.Stats)
-			merged.Merge(results[i].OoW.Stats)
-		}
-		out.Stats = merged
-	case "spmv":
-		results, err := RunFigure10Pool(ctx, pool, n.Matrices, n.Dense)
-		if err != nil {
-			return nil, err
-		}
-		out.Export = sim.NewExport("spmv")
-		out.Export.Results = results
-	case "linesize":
-		results, err := RunFigure11Pool(ctx, pool, n.Matrices)
-		if err != nil {
-			return nil, err
-		}
-		out.Export = sim.NewExport("linesize")
-		out.Export.Results = results
-	case "sweep":
-		results, err := RunSparsitySweepPool(ctx, pool, n.Points, n.Rows)
-		if err != nil {
-			return nil, err
-		}
-		out.Export = sim.NewExport("sweep")
-		out.Export.Results = results
-	case "dualcore":
-		results, err := RunDualCorePool(ctx, pool)
-		if err != nil {
-			return nil, err
-		}
-		out.Export = sim.NewExport("dualcore")
-		out.Export.Results = results
-	case "compare":
-		params := CompareParams{
-			Bench:    n.Bench,
-			Warm:     n.Warm,
-			Measure:  n.Measure,
-			Matrices: n.Matrices,
-		}
-		if n.Backend != "" {
-			params.Backends = []string{n.Backend}
-		}
-		report, err := RunComparePool(ctx, pool, params)
-		if err != nil {
-			return nil, err
-		}
-		out.Export = CompareExport(params, report)
-	case "omsstress":
-		params := OMSStressParams{
-			Tenants:  n.Tenants,
-			Ops:      n.Ops,
-			Segments: n.Segments,
-			Capacity: n.OMSCapacity,
-			Spill:    !n.NoSpill,
-			Shared:   n.Shared,
-		}
-		if params.Capacity < 0 {
-			params.Capacity = 0 // -1 in the spec means unlimited
-		}
-		results, stats, err := RunOMSStressPool(ctx, pool, params)
-		if err != nil {
-			return nil, err
-		}
-		out.Export = sim.NewExport("omsstress")
-		out.Export.Results = results
-		out.Stats = stats
+	out, err := e.run(ctx, pool, n)
+	if err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -641,4 +602,12 @@ func (s JobSpec) Run(ctx context.Context, pool Pool) (*JobOutput, error) {
 		prov.AttachStats(out.Stats)
 	}
 	return out, nil
+}
+
+// Report prints the human-readable tables the CLI subcommand writes to
+// stdout for a finished run of the spec.
+func (s JobSpec) Report(w io.Writer, out *JobOutput) {
+	if e, ok := experimentNamed(s.Experiment); ok {
+		e.report(w, s.Normalized(), out)
+	}
 }

@@ -194,3 +194,29 @@ func TestSpanDurationIsMonotonic(t *testing.T) {
 		t.Fatalf("span duration %v shorter than the slept 2ms", got)
 	}
 }
+
+// FuzzParseTraceparent feeds arbitrary header values to the traceparent
+// parser, which reads every inbound request's untrusted header. Parsing
+// must never panic; an accepted header must carry non-zero trace and
+// span IDs, and the context must re-render to a header that parses back
+// to the same context. The seed corpus is under
+// testdata/fuzz/FuzzParseTraceparent.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Fuzz(func(t *testing.T, header string) {
+		sc, ok := ParseTraceparent(header)
+		if !ok {
+			if sc != (SpanContext{}) {
+				t.Fatalf("rejected %q but returned a non-zero context %+v", header, sc)
+			}
+			return
+		}
+		if sc.TraceID.IsZero() || sc.SpanID.IsZero() {
+			t.Fatalf("accepted %q with a zero ID: %+v", header, sc)
+		}
+		back, ok := ParseTraceparent(sc.Traceparent())
+		if !ok || back != sc {
+			t.Fatalf("%q: re-rendered header %q parses to %+v (ok=%v), want %+v",
+				header, sc.Traceparent(), back, ok, sc)
+		}
+	})
+}
