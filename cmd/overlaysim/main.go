@@ -10,7 +10,7 @@
 //	overlaysim dualcore               extension: divergence with both processes running
 //	overlaysim compare                cross-backend comparison (overlay / baseline / vbi / utopia)
 //	overlaysim omsstress              multi-tenant OMS churn with cooling eviction and spill tier
-//	overlaysim bench                  fixed job matrix: parallel-vs-sequential baseline for CI
+//	overlaysim bench                  fixed experiment invocations: parallel-vs-sequential baseline for CI
 //	overlaysim trace                  record a workload trace / replay one through the simulator
 //	overlaysim stats                  run one fork benchmark and dump all counters
 //	overlaysim serve                  serve experiment jobs over HTTP (docs/API.md)
@@ -136,7 +136,7 @@ func commands() []*command {
 		cmds = append(cmds, newExperimentCmd(e))
 	}
 	return append(cmds,
-		newBenchCmd(),
+		newBenchCmd(exp.BenchInvocations),
 		newTraceCmd(),
 		newStatsCmd(),
 		newServeCmd(),
@@ -405,22 +405,18 @@ func newExperimentCmd(e exp.Experiment) *command {
 	}
 }
 
-func newBenchCmd() *command {
+// newBenchCmd builds `bench` over a fixed list of experiment
+// invocations (exp.BenchInvocations outside tests).
+func newBenchCmd(invocations []string) *command {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
-	short := fs.Bool("short", false, "run the quick CI matrix instead of the full one")
 	parallel := fs.Int("parallel", 0, "worker goroutines for the parallel phase (0 = GOMAXPROCS)")
-	jsonPath := fs.String("json", "", "write the machine-readable baseline (JSON, schema v1) to this `file`")
+	tel := &telemetryFlags{}
+	fs.StringVar(&tel.jsonPath, "json", "", "write the machine-readable baseline (JSON, schema v1) to this `file`")
 	check := fs.String("check", "", "compare this run against the recorded baseline `file`; drift exits 1")
 	wallTol := fs.Float64("wall-tolerance", 0.25, "allowed wall-clock regression vs baseline (0.25 = +25%%; 0 disables)")
-	benches := fs.String("benches", "", "override the fork benchmark list (comma-separated)")
-	warm := fs.Uint64("warm", 0, "override fork warm-up instructions")
-	measure := fs.Uint64("measure", 0, "override fork measured instructions")
-	matrices := fs.Int("matrices", 0, "override the SpMV/linesize matrix count")
-	points := fs.Int("points", 0, "override the sparsity-sweep point count")
-	rows := fs.Int("rows", 0, "override the sparsity-sweep matrix dimension")
 	return &command{
 		name:    "bench",
-		summary: "run the fixed experiment matrix sequentially and in parallel; baseline for CI",
+		summary: "run the fixed experiment invocations sequentially and in parallel; baseline for CI",
 		flags:   fs,
 		prof:    addProfileFlags(fs),
 		run: func(stdout, stderr io.Writer) error {
@@ -430,17 +426,19 @@ func newBenchCmd() *command {
 			if *wallTol < 0 {
 				return usageError(fmt.Sprintf("invalid -wall-tolerance %g: must be >= 0", *wallTol))
 			}
-			// Open the export and load the baseline before spending
-			// minutes simulating: a bad path is a usage error now, not
-			// a runtime error after the run.
-			var jsonFh *os.File
-			if *jsonPath != "" {
-				var err error
-				if jsonFh, err = os.Create(*jsonPath); err != nil {
-					return usageError(fmt.Sprintf("invalid -json: %v", err))
-				}
-				defer jsonFh.Close()
+			workers := *parallel
+			if workers == 0 {
+				workers = runtime.GOMAXPROCS(0)
 			}
+			// Open the export and check the baseline before spending
+			// minutes simulating: a bad path is a usage error now, and a
+			// baseline recorded at another worker count or over other
+			// invocations fails before the run, not after it.
+			outs, err := tel.open()
+			if err != nil {
+				return err
+			}
+			defer outs.close()
 			var baseline *exp.BenchReport
 			if *check != "" {
 				fh, err := os.Open(*check)
@@ -452,52 +450,23 @@ func newBenchCmd() *command {
 				if err != nil {
 					return fmt.Errorf("%s: %w", *check, err)
 				}
-			}
-			plan := exp.DefaultBenchPlan()
-			if *short {
-				plan = exp.ShortBenchPlan()
-			}
-			if *benches != "" {
-				plan.ForkNames = strings.Split(*benches, ",")
-			}
-			if *warm != 0 {
-				plan.ForkParams.WarmInstructions = *warm
-			}
-			if *measure != 0 {
-				plan.ForkParams.MeasureInstructions = *measure
-			}
-			if *matrices != 0 {
-				plan.SpMVMatrices = *matrices
-				plan.LineSizeMatrices = *matrices
-			}
-			if *points != 0 {
-				plan.SweepPoints = *points
-			}
-			if *rows != 0 {
-				plan.SweepRows = *rows
-			}
-			workers := *parallel
-			if workers == 0 {
-				workers = runtime.GOMAXPROCS(0)
+				if err := exp.CheckBenchPlan(baseline, invocations, workers); err != nil {
+					return fmt.Errorf("%s: %w", *check, err)
+				}
 			}
 			start := time.Now()
-			report, err := exp.RunBench(context.Background(), plan, workers, stderr)
+			report, err := exp.RunBench(context.Background(), invocations, workers, stderr)
 			if err != nil {
 				return err
 			}
 			exp.PrintBench(stdout, report)
-			if jsonFh != nil {
-				ex := sim.NewExport("bench")
-				ex.Meta = sim.NewRunMeta(workers)
-				ex.Meta.WallMS = float64(time.Since(start).Microseconds()) / 1000
-				ex.Config = plan
-				ex.Results = report
-				if err := ex.WriteJSON(jsonFh); err != nil {
-					return err
-				}
-				if err := jsonFh.Close(); err != nil {
-					return err
-				}
+			ex := sim.NewExport("bench")
+			ex.Meta = sim.NewRunMeta(workers)
+			ex.Meta.WallMS = float64(time.Since(start).Microseconds()) / 1000
+			ex.Config = invocations
+			ex.Results = report
+			if err := outs.write(ex, nil, nil); err != nil {
+				return err
 			}
 			if baseline != nil {
 				if err := exp.CheckBench(baseline, report, *wallTol); err != nil {

@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -217,24 +219,41 @@ func TestProfileFlags(t *testing.T) {
 	}
 }
 
-// TestBenchCLI runs a tiny bench matrix through the CLI: the JSON
-// export must be a loadable baseline, and a -check against the file it
-// just wrote must pass (same machine, same run ⇒ metrics exact).
+// TestBenchCLI runs a tiny bench list through the CLI: the JSON
+// export must be a loadable baseline, a -check against the file it just
+// wrote must pass (same machine, same run ⇒ metrics exact), and a
+// baseline that cannot match fails before anything is simulated.
 func TestBenchCLI(t *testing.T) {
 	dir := t.TempDir()
 	jsonPath := filepath.Join(dir, "bench.json")
 	tiny := []string{
-		"-short", "-parallel=2", "-benches=hmmer", "-warm=20000", "-measure=40000",
-		"-matrices=2", "-points=2", "-rows=64",
+		"fork -bench=hmmer -warm=20000 -measure=40000",
+		"spmv -matrices=2",
+		"linesize -matrices=3",
+		"sweep -points=2 -rows=64",
+		"compare -bench=hmmer -warm=20000 -measure=40000 -matrices=2",
+		"omsstress -tenants=2 -ops=2000 -segments=48 -oms-capacity=8",
+		"dualcore",
 	}
-	var stdout, stderr bytes.Buffer
-	code := run(append([]string{"bench", "-json=" + jsonPath}, tiny...), &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("bench exited %d, stderr: %s", code, stderr.String())
+	// bench runs the command as run does, minus the exit-code mapping
+	// (TestExitCodes covers that): stderr receives only the harness
+	// progress lines.
+	bench := func(plan []string, args ...string) (stdout, stderr string, err error) {
+		cmd := newBenchCmd(plan)
+		if err := cmd.flags.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		var out, errOut bytes.Buffer
+		err = cmd.run(&out, &errOut)
+		return out.String(), errOut.String(), err
 	}
-	for _, want := range []string{"fork", "spmv", "linesize", "sweep", "dualcore", "total"} {
-		if !strings.Contains(stdout.String(), want) {
-			t.Errorf("bench summary missing %q:\n%s", want, stdout.String())
+	stdout, stderr, err := bench(tiny, "-json="+jsonPath, "-parallel=2")
+	if err != nil {
+		t.Fatalf("bench failed: %v; stderr: %s", err, stderr)
+	}
+	for _, want := range append(tiny, "total") {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("bench summary missing %q:\n%s", want, stdout)
 		}
 	}
 
@@ -243,8 +262,9 @@ func TestBenchCLI(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ex struct {
-		SchemaVersion int    `json:"schema_version"`
-		Command       string `json:"command"`
+		SchemaVersion int      `json:"schema_version"`
+		Command       string   `json:"command"`
+		Config        []string `json:"config"`
 		Meta          struct {
 			GoVersion string `json:"go_version"`
 			Parallel  int    `json:"parallel"`
@@ -252,8 +272,8 @@ func TestBenchCLI(t *testing.T) {
 		Results struct {
 			Parallel    int `json:"parallel"`
 			Experiments []struct {
-				Name    string            `json:"name"`
-				Metrics map[string]uint64 `json:"metrics"`
+				Invocation string             `json:"invocation"`
+				Metrics    map[string]float64 `json:"metrics"`
 			} `json:"experiments"`
 		} `json:"results"`
 	}
@@ -266,30 +286,44 @@ func TestBenchCLI(t *testing.T) {
 	if ex.Meta.GoVersion == "" || ex.Meta.Parallel != 2 || ex.Results.Parallel != 2 {
 		t.Errorf("export meta incomplete: %+v", ex.Meta)
 	}
-	if len(ex.Results.Experiments) != 7 {
-		t.Fatalf("export has %d experiments, want 7", len(ex.Results.Experiments))
+	if !reflect.DeepEqual(ex.Config, tiny) {
+		t.Errorf("export config = %q, want the invocation list", ex.Config)
+	}
+	if len(ex.Results.Experiments) != len(tiny) {
+		t.Fatalf("export has %d experiments, want %d", len(ex.Results.Experiments), len(tiny))
 	}
 
 	// Re-running against the just-written baseline must pass the gate.
 	// Only the exact-metrics round trip is checked here: wall clock on a
 	// shared test host is not a correctness property (the wall gate is
 	// unit-tested in internal/exp and enforced by the CI bench job).
-	stdout.Reset()
-	stderr.Reset()
-	code = run(append([]string{"bench", "-check=" + jsonPath, "-wall-tolerance=0"}, tiny...), &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("bench -check exited %d, stderr: %s", code, stderr.String())
+	stdout, stderr, err = bench(tiny, "-check="+jsonPath, "-wall-tolerance=0", "-parallel=2")
+	if err != nil {
+		t.Fatalf("bench -check failed: %v; stderr: %s", err, stderr)
 	}
-	if !strings.Contains(stdout.String(), "baseline check passed") {
-		t.Errorf("check did not report success:\n%s", stdout.String())
+	if !strings.Contains(stdout, "baseline check passed") {
+		t.Errorf("check did not report success:\n%s", stdout)
 	}
 
-	// A baseline recorded at a different worker count is rejected (exit 1).
-	stdout.Reset()
-	stderr.Reset()
-	mismatched := append([]string{"bench", "-check=" + jsonPath, "-short", "-parallel=1"}, tiny[2:]...)
-	if code = run(mismatched, &stdout, &stderr); code != 1 {
-		t.Fatalf("mismatched -parallel check exited %d, want 1", code)
+	// A baseline recorded at a different worker count, or over other
+	// invocations, is rejected as a runtime error (exit 1) before any
+	// simulation: no harness progress line reaches stderr.
+	for _, c := range []struct {
+		name     string
+		plan     []string
+		parallel string
+	}{
+		{"worker count", tiny, "-parallel=1"},
+		{"invocation set", tiny[:1], "-parallel=2"},
+	} {
+		_, stderr, err := bench(c.plan, "-check="+jsonPath, c.parallel)
+		var ue usageError
+		if err == nil || errors.As(err, &ue) {
+			t.Fatalf("mismatched %s: err = %v, want a runtime error", c.name, err)
+		}
+		if stderr != "" {
+			t.Errorf("mismatched %s: the bench ran before the check failed:\n%s", c.name, stderr)
+		}
 	}
 }
 

@@ -1,106 +1,61 @@
 package exp
 
-// This file implements `overlaysim bench`: a fixed job matrix over all
-// five experiments that doubles as (a) the parallel-harness
-// verification — every experiment runs once sequentially and once at
-// the requested worker count, and the simulated metrics must match
-// bit for bit — and (b) the CI regression gate: the report is written
-// as a schema-versioned export, checked in as BENCH_harness.json, and
-// CheckBench fails the build when simulated cycles drift (the
-// simulator is deterministic, so the comparison is exact) or the
-// short-mode wall clock regresses beyond the tolerance.
+// This file implements `overlaysim bench`: a fixed list of experiment
+// invocations that doubles as (a) the parallel-harness verification —
+// every invocation runs through JobSpec.Run once sequentially and once
+// at the requested worker count, and the two -json exports must be byte
+// for byte identical — and (b) the CI regression gate: the report is
+// written as a schema-versioned export, checked in as
+// BENCH_harness.json, and CheckBench fails the build when a simulated
+// result drifts (the simulator is deterministic, so the comparison is
+// exact) or the wall clock regresses beyond the tolerance.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
-// BenchPlan fixes the job matrix one bench run executes. The zero
-// value of any field falls back to the corresponding ShortBenchPlan
-// setting, so CLI overrides can shrink individual experiments without
-// respecifying the whole plan.
-type BenchPlan struct {
-	ForkNames        []string   `json:"fork_names"`
-	ForkParams       ForkParams `json:"fork_params"`
-	SpMVMatrices     int        `json:"spmv_matrices"`
-	LineSizeMatrices int        `json:"linesize_matrices"`
-	SweepPoints      int        `json:"sweep_points"`
-	SweepRows        int        `json:"sweep_rows"`
+// BenchInvocations is the bench matrix, one overlaysim experiment
+// invocation per entry, each parsed by SpecFromArgs: one fork benchmark
+// per workload type, a small SpMV and line-size subsample, the sparsity
+// sweep at reduced dimension, one cross-backend compare, an omsstress
+// sizing whose 96 segments per tenant against a 16-frame budget keep the
+// cooling queue and spill tier under steady pressure, and dualcore.
+var BenchInvocations = []string{
+	"fork -bench=hmmer -warm=60000 -measure=150000",
+	"fork -bench=lbm -warm=60000 -measure=150000",
+	"fork -bench=mcf -warm=60000 -measure=150000",
+	"spmv -matrices=6",
+	"linesize -matrices=10",
+	"sweep -points=8 -rows=128",
+	"compare -bench=hmmer -warm=60000 -measure=150000 -matrices=2",
+	"omsstress -tenants=4 -ops=8000 -segments=96 -oms-capacity=16",
+	"dualcore",
 }
 
-// ShortBenchPlan is the quick matrix CI runs on every push: one fork
-// benchmark per workload type, a small SpMV subsample, and the
-// sparsity sweep at reduced dimension.
-func ShortBenchPlan() BenchPlan {
-	return BenchPlan{
-		ForkNames:        []string{"hmmer", "lbm", "mcf"},
-		ForkParams:       QuickForkParams(),
-		SpMVMatrices:     6,
-		LineSizeMatrices: 10,
-		SweepPoints:      8,
-		SweepRows:        128,
-	}
-}
-
-// DefaultBenchPlan is the fuller matrix for local runs: six fork
-// benchmarks (two per type) at a longer window, more matrices, and
-// the paper-sized sparsity sweep (11 points, 256×256).
-func DefaultBenchPlan() BenchPlan {
-	return BenchPlan{
-		ForkNames:        []string{"hmmer", "tonto", "lbm", "soplex", "mcf", "astar"},
-		ForkParams:       ForkParams{WarmInstructions: 120_000, MeasureInstructions: 300_000},
-		SpMVMatrices:     12,
-		LineSizeMatrices: 20,
-		SweepPoints:      11,
-		SweepRows:        256,
-	}
-}
-
-// normalize fills zero fields from the short plan.
-func (p BenchPlan) normalize() BenchPlan {
-	short := ShortBenchPlan()
-	if len(p.ForkNames) == 0 {
-		p.ForkNames = short.ForkNames
-	}
-	if p.ForkParams.WarmInstructions == 0 {
-		p.ForkParams.WarmInstructions = short.ForkParams.WarmInstructions
-	}
-	if p.ForkParams.MeasureInstructions == 0 {
-		p.ForkParams.MeasureInstructions = short.ForkParams.MeasureInstructions
-	}
-	if p.SpMVMatrices == 0 {
-		p.SpMVMatrices = short.SpMVMatrices
-	}
-	if p.LineSizeMatrices == 0 {
-		p.LineSizeMatrices = short.LineSizeMatrices
-	}
-	if p.SweepPoints == 0 {
-		p.SweepPoints = short.SweepPoints
-	}
-	if p.SweepRows == 0 {
-		p.SweepRows = short.SweepRows
-	}
-	return p
-}
-
-// BenchExperiment is one experiment's row in the bench report.
+// BenchExperiment is one invocation's row in the bench report.
 type BenchExperiment struct {
-	Name      string            `json:"name"`
-	Jobs      int               `json:"jobs"`
-	SeqWallMS float64           `json:"seq_wall_ms"` // harness at Parallel 1
-	ParWallMS float64           `json:"par_wall_ms"` // harness at report Parallel
-	Speedup   float64           `json:"speedup"`     // SeqWallMS / ParWallMS
-	Metrics   map[string]uint64 `json:"metrics"`     // simulated, machine-independent
+	Invocation string  `json:"invocation"`
+	SeqWallMS  float64 `json:"seq_wall_ms"` // harness at Parallel 1
+	ParWallMS  float64 `json:"par_wall_ms"` // harness at report Parallel
+	Speedup    float64 `json:"speedup"`     // SeqWallMS / ParWallMS
 
-	// Snapshot records the experiment's warm-state reuse (from the
-	// parallel phase; the sequential phase reuses identically). Absent
+	// Metrics are the numeric leaves of the export's results, keyed by
+	// their dotted JSON path (e.g. "0.CoW.Cycles"): simulated quantities,
+	// machine-independent.
+	Metrics map[string]float64 `json:"metrics"`
+
+	// Snapshot records the invocation's warm-state reuse. Absent
 	// for experiments with no snapshot path. Like the wall-clock
 	// fields, the warmup_ms_saved component is host-dependent.
 	Snapshot *SnapshotProvenance `json:"snapshot,omitempty"`
@@ -116,202 +71,55 @@ type BenchReport struct {
 	SeqWallMS   float64            `json:"seq_wall_ms"`
 	ParWallMS   float64            `json:"par_wall_ms"`
 	Speedup     float64            `json:"speedup"`
-	Snapshot    SnapshotProvenance `json:"snapshot"` // summed across experiments
+	Snapshot    SnapshotProvenance `json:"snapshot"` // summed across invocations
 	Experiments []BenchExperiment  `json:"experiments"`
 }
 
-// benchCase is one experiment of the matrix: run executes it over the
-// given pool and reduces the outcome to the deterministic metric map.
-type benchCase struct {
-	name string
-	jobs int
-	run  func(ctx context.Context, pool Pool) (map[string]uint64, error)
-}
-
-func (p BenchPlan) cases() []benchCase {
-	return []benchCase{
-		{
-			name: "fork",
-			jobs: len(p.ForkNames),
-			run: func(ctx context.Context, pool Pool) (map[string]uint64, error) {
-				results, err := RunForkSuitePool(ctx, pool, p.ForkParams, p.ForkNames)
-				if err != nil {
-					return nil, err
-				}
-				m := make(map[string]uint64, 4*len(results))
-				for _, r := range results {
-					m[r.Benchmark+".cow.cycles"] = r.CoW.Cycles
-					m[r.Benchmark+".oow.cycles"] = r.OoW.Cycles
-					m[r.Benchmark+".cow.added_bytes"] = uint64(r.CoW.AddedBytes)
-					m[r.Benchmark+".oow.added_bytes"] = uint64(r.OoW.AddedBytes)
-				}
-				return m, nil
-			},
-		},
-		{
-			name: "spmv",
-			jobs: p.SpMVMatrices,
-			run: func(ctx context.Context, pool Pool) (map[string]uint64, error) {
-				results, err := RunFigure10Pool(ctx, pool, p.SpMVMatrices, false)
-				if err != nil {
-					return nil, err
-				}
-				m := make(map[string]uint64, 2*len(results))
-				for _, r := range results {
-					m[r.Matrix+".overlay.cycles"] = r.OverlayCycles
-					m[r.Matrix+".csr.cycles"] = r.CSRCycles
-				}
-				return m, nil
-			},
-		},
-		{
-			name: "linesize",
-			jobs: p.LineSizeMatrices,
-			run: func(ctx context.Context, pool Pool) (map[string]uint64, error) {
-				results, err := RunFigure11Pool(ctx, pool, p.LineSizeMatrices)
-				if err != nil {
-					return nil, err
-				}
-				// Analytic overheads are float ratios; scale to milli-units
-				// so the export stays integral. Same inputs → same floats →
-				// same rounding, so the comparison is still exact.
-				m := make(map[string]uint64, (len(LineSizes)+1)*len(results))
-				for _, r := range results {
-					for _, sz := range LineSizes {
-						m[fmt.Sprintf("%s.overhead_milli.%d", r.Matrix, sz)] = uint64(r.Overheads[sz]*1000 + 0.5)
-					}
-					m[r.Matrix+".csr_milli"] = uint64(r.CSR*1000 + 0.5)
-				}
-				return m, nil
-			},
-		},
-		{
-			name: "sweep",
-			jobs: p.SweepPoints,
-			run: func(ctx context.Context, pool Pool) (map[string]uint64, error) {
-				results, err := RunSparsitySweepPool(ctx, pool, p.SweepPoints, p.SweepRows)
-				if err != nil {
-					return nil, err
-				}
-				m := make(map[string]uint64, 2*len(results))
-				for i, r := range results {
-					m[fmt.Sprintf("point%02d.overlay.cycles", i)] = r.OverlayCycles
-					m[fmt.Sprintf("point%02d.dense.cycles", i)] = r.DenseCycles
-				}
-				return m, nil
-			},
-		},
-		{
-			name: "compare",
-			jobs: len(core.Backends()),
-			run: func(ctx context.Context, pool Pool) (map[string]uint64, error) {
-				params := CompareParams{
-					Bench:    p.ForkNames[0],
-					Warm:     p.ForkParams.WarmInstructions,
-					Measure:  p.ForkParams.MeasureInstructions,
-					Matrices: 2,
-				}
-				report, err := RunComparePool(ctx, pool, params)
-				if err != nil {
-					return nil, err
-				}
-				m := make(map[string]uint64, 5*len(report.Backends))
-				for _, b := range report.Backends {
-					m[b.Backend+".fork.cycles"] = b.Fork.Cycles
-					m[b.Backend+".fork.added_bytes"] = uint64(b.Fork.AddedBytes)
-					m[b.Backend+".spmv.csr_cycles"] = b.SpMV.CSRCycles
-					m[b.Backend+".metadata_bytes"] = uint64(b.MetadataBytes)
-					if b.SpMV.OverlayCycles != 0 {
-						m[b.Backend+".spmv.overlay_cycles"] = b.SpMV.OverlayCycles
-					}
-				}
-				return m, nil
-			},
-		},
-		{
-			name: "omsstress",
-			jobs: 4,
-			run: func(ctx context.Context, pool Pool) (map[string]uint64, error) {
-				// Fixed short-plan sizing: 96 segments per tenant against a
-				// 16-frame budget keeps the cooling queue and spill tier under
-				// steady pressure without dominating the matrix's wall clock.
-				params := OMSStressParams{Tenants: 4, Ops: 8000, Segments: 96, Capacity: 16, Spill: true}
-				results, _, err := RunOMSStressPool(ctx, pool, params)
-				if err != nil {
-					return nil, err
-				}
-				m := make(map[string]uint64, 6*len(results))
-				for _, r := range results {
-					key := fmt.Sprintf("tenant%d", r.Tenant)
-					m[key+".evictions"] = r.Evictions
-					m[key+".spills"] = r.Spills
-					m[key+".refills"] = r.Refills
-					m[key+".spill_penalty_cycles"] = r.PenaltyCycles
-					m[key+".resident_bytes"] = uint64(r.ResidentBytes)
-					m[key+".spilled_bytes"] = uint64(r.SpilledBytes)
-				}
-				return m, nil
-			},
-		},
-		{
-			name: "dualcore",
-			jobs: 2,
-			run: func(ctx context.Context, pool Pool) (map[string]uint64, error) {
-				results, err := RunDualCorePool(ctx, pool)
-				if err != nil {
-					return nil, err
-				}
-				m := make(map[string]uint64, 4*len(results))
-				for _, r := range results {
-					m[r.Mechanism+".writer.cycles"] = uint64(r.WriterCycles)
-					m[r.Mechanism+".reader.cycles"] = uint64(r.ReaderCycles)
-					m[r.Mechanism+".shootdowns"] = r.Shootdowns
-					m[r.Mechanism+".line_updates"] = r.LineUpdates
-				}
-				return m, nil
-			},
-		},
-	}
-}
-
-// RunBench executes the plan twice per experiment — once at Parallel 1
-// and once at the requested worker count — verifies the simulated
-// metrics are bit-identical between the two, and reports per-
-// experiment and total wall clock plus the parallel speedup.
-func RunBench(ctx context.Context, plan BenchPlan, parallel int, progress io.Writer) (*BenchReport, error) {
-	plan = plan.normalize()
+// RunBench runs each invocation through JobSpec.Run twice — once at
+// Parallel 1 and once at the requested worker count — verifies the two
+// -json exports are byte-identical, and reports per-invocation and
+// total wall clock plus the parallel speedup.
+func RunBench(ctx context.Context, invocations []string, parallel int, progress io.Writer) (*BenchReport, error) {
 	report := &BenchReport{Parallel: parallel}
-	for _, c := range plan.cases() {
-		seqStart := time.Now()
-		seq, err := c.run(ctx, Pool{Parallel: 1, Progress: progress})
+	for _, inv := range invocations {
+		spec, err := SpecFromArgs(strings.Fields(inv))
 		if err != nil {
-			return nil, fmt.Errorf("bench %s (sequential): %w", c.name, err)
+			return nil, fmt.Errorf("bench %q: %w", inv, err)
 		}
-		seqWall := time.Since(seqStart)
-
-		parSnap := &SnapshotStats{}
-		parStart := time.Now()
-		par, err := c.run(ctx, Pool{Parallel: parallel, Progress: progress, Snap: parSnap})
+		// SpecFromArgs fills in the CLI default of -parallel=1, so each
+		// pass sets its worker count explicitly.
+		var exports [2][]byte
+		var wallMS [2]float64
+		var snap *SnapshotStats
+		for i, workers := range []int{1, parallel} {
+			spec.Parallel = workers
+			snap = &SnapshotStats{}
+			start := time.Now()
+			out, err := spec.Run(ctx, Pool{Progress: progress, Snap: snap})
+			if err != nil {
+				return nil, fmt.Errorf("bench %q (-parallel %d): %w", inv, workers, err)
+			}
+			wallMS[i] = float64(time.Since(start).Microseconds()) / 1000
+			var buf bytes.Buffer
+			if err := out.Export.WriteJSON(&buf); err != nil {
+				return nil, fmt.Errorf("bench %q: %w", inv, err)
+			}
+			exports[i] = buf.Bytes()
+		}
+		if !bytes.Equal(exports[0], exports[1]) {
+			return nil, fmt.Errorf("bench %q: the -parallel %d export differs from the sequential one (simulator nondeterminism)",
+				inv, parallel)
+		}
+		metrics, err := resultMetrics(exports[0])
 		if err != nil {
-			return nil, fmt.Errorf("bench %s (parallel %d): %w", c.name, parallel, err)
+			return nil, fmt.Errorf("bench %q: %w", inv, err)
 		}
-		parWall := time.Since(parStart)
-
-		if diffs := diffMetrics(seq, par); len(diffs) > 0 {
-			return nil, fmt.Errorf("bench %s: parallel %d diverges from the sequential path (simulator nondeterminism): %s",
-				c.name, parallel, diffs[0])
-		}
-		e := BenchExperiment{
-			Name:      c.name,
-			Jobs:      c.jobs,
-			SeqWallMS: float64(seqWall.Microseconds()) / 1000,
-			ParWallMS: float64(parWall.Microseconds()) / 1000,
-			Metrics:   seq,
-		}
+		e := BenchExperiment{Invocation: inv, SeqWallMS: wallMS[0], ParWallMS: wallMS[1], Metrics: metrics}
 		if e.ParWallMS > 0 {
 			e.Speedup = e.SeqWallMS / e.ParWallMS
 		}
-		if prov := parSnap.Provenance(); !prov.Empty() {
+		// The parallel pass's reuse; the sequential pass reuses identically.
+		if prov := snap.Provenance(); !prov.Empty() {
 			e.Snapshot = &prov
 			report.Snapshot.accumulate(prov)
 		}
@@ -323,6 +131,37 @@ func RunBench(ctx context.Context, plan BenchPlan, parallel int, progress io.Wri
 		report.Speedup = report.SeqWallMS / report.ParWallMS
 	}
 	return report, nil
+}
+
+// resultMetrics flattens the numeric leaves of an export's results into
+// a map keyed by dotted JSON path; strings and booleans are labels, not
+// measurements. Numbers decode as float64, so counts stay exact below
+// 2^53.
+func resultMetrics(export []byte) (map[string]float64, error) {
+	var doc struct {
+		Results any `json:"results"`
+	}
+	if err := json.Unmarshal(export, &doc); err != nil {
+		return nil, fmt.Errorf("decode export: %w", err)
+	}
+	m := make(map[string]float64)
+	var walk func(prefix string, v any)
+	walk = func(prefix string, v any) {
+		switch v := v.(type) {
+		case float64:
+			m[strings.TrimSuffix(prefix, ".")] = v
+		case map[string]any:
+			for k, x := range v {
+				walk(prefix+k+".", x)
+			}
+		case []any:
+			for i, x := range v {
+				walk(prefix+strconv.Itoa(i)+".", x)
+			}
+		}
+	}
+	walk("", doc.Results)
+	return m, nil
 }
 
 // LoadBenchBaseline parses a recorded bench export (the Results field
@@ -350,7 +189,7 @@ func LoadBenchBaseline(r io.Reader) (*BenchReport, error) {
 
 // diffMetrics describes every key whose value differs (or exists on
 // only one side), in sorted key order.
-func diffMetrics(want, got map[string]uint64) []string {
+func diffMetrics(want, got map[string]float64) []string {
 	keys := make(map[string]bool, len(want)+len(got))
 	for k := range want {
 		keys[k] = true
@@ -369,49 +208,57 @@ func diffMetrics(want, got map[string]uint64) []string {
 		g, gok := got[k]
 		switch {
 		case !wok:
-			diffs = append(diffs, fmt.Sprintf("%s: unexpected metric (got %d)", k, g))
+			diffs = append(diffs, fmt.Sprintf("%s: unexpected metric (got %v)", k, g))
 		case !gok:
-			diffs = append(diffs, fmt.Sprintf("%s: missing metric (want %d)", k, w))
+			diffs = append(diffs, fmt.Sprintf("%s: missing metric (want %v)", k, w))
 		case w != g:
-			diffs = append(diffs, fmt.Sprintf("%s: want %d, got %d", k, w, g))
+			diffs = append(diffs, fmt.Sprintf("%s: want %v, got %v", k, w, g))
 		}
 	}
 	return diffs
 }
 
+// invocations lists the report's invocations in run order.
+func (r *BenchReport) invocations() []string {
+	invs := make([]string, len(r.Experiments))
+	for i, e := range r.Experiments {
+		invs[i] = e.Invocation
+	}
+	return invs
+}
+
+// CheckBenchPlan reports whether a run of invocations at the given
+// worker count can be checked against the baseline at all: both must
+// equal the baseline's. The CLI calls it before simulating anything.
+func CheckBenchPlan(baseline *BenchReport, invocations []string, parallel int) error {
+	if baseline.Parallel != parallel {
+		return fmt.Errorf("bench: baseline recorded at -parallel %d, this run uses -parallel %d",
+			baseline.Parallel, parallel)
+	}
+	if recorded := baseline.invocations(); !slices.Equal(recorded, invocations) {
+		return fmt.Errorf("bench: baseline recorded invocations %q, this run uses %q", recorded, invocations)
+	}
+	return nil
+}
+
 // CheckBench compares a fresh report against the recorded baseline:
-// simulated metrics must match exactly (per experiment, per key), and
+// the worker count and invocation list must match (CheckBenchPlan),
+// simulated metrics must match exactly (per invocation, per key), and
 // when wallTol > 0 the total parallel wall clock may not exceed the
 // baseline by more than that fraction (0.25 = +25 %). Wall clock is
 // host-dependent, so pass wallTol 0 when comparing across machines.
 func CheckBench(baseline, got *BenchReport, wallTol float64) error {
-	if baseline.Parallel != got.Parallel {
-		return fmt.Errorf("bench: baseline recorded at -parallel %d, this run used -parallel %d",
-			baseline.Parallel, got.Parallel)
+	if err := CheckBenchPlan(baseline, got.invocations(), got.Parallel); err != nil {
+		return err
 	}
-	base := make(map[string]BenchExperiment, len(baseline.Experiments))
-	for _, e := range baseline.Experiments {
-		base[e.Name] = e
-	}
-	seen := make(map[string]bool, len(got.Experiments))
-	for _, e := range got.Experiments {
-		seen[e.Name] = true
-		b, ok := base[e.Name]
-		if !ok {
-			return fmt.Errorf("bench: experiment %q not in baseline", e.Name)
-		}
-		if diffs := diffMetrics(b.Metrics, e.Metrics); len(diffs) > 0 {
+	for i, e := range got.Experiments {
+		if diffs := diffMetrics(baseline.Experiments[i].Metrics, e.Metrics); len(diffs) > 0 {
 			limit := diffs
 			if len(limit) > 5 {
 				limit = limit[:5]
 			}
-			return fmt.Errorf("bench: %s simulated metrics drifted from baseline (%d keys):\n  %s",
-				e.Name, len(diffs), joinLines(limit))
-		}
-	}
-	for name := range base {
-		if !seen[name] {
-			return fmt.Errorf("bench: baseline experiment %q missing from this run", name)
+			return fmt.Errorf("bench: %q simulated metrics drifted from baseline (%d keys):\n  %s",
+				e.Invocation, len(diffs), strings.Join(limit, "\n  "))
 		}
 	}
 	if wallTol > 0 && got.ParWallMS > baseline.ParWallMS*(1+wallTol) {
@@ -421,26 +268,15 @@ func CheckBench(baseline, got *BenchReport, wallTol float64) error {
 	return nil
 }
 
-func joinLines(lines []string) string {
-	out := ""
-	for i, l := range lines {
-		if i > 0 {
-			out += "\n  "
-		}
-		out += l
-	}
-	return out
-}
-
 // PrintBench renders the human-readable bench summary.
 func PrintBench(w io.Writer, r *BenchReport) {
-	fmt.Fprintf(w, "Bench matrix at -parallel %d (simulated metrics verified bit-identical vs -parallel 1)\n", r.Parallel)
-	fmt.Fprintf(w, "%-10s %6s %12s %12s %9s %9s\n", "experiment", "jobs", "seq wall", "par wall", "speedup", "metrics")
+	fmt.Fprintf(w, "Bench matrix at -parallel %d (exports verified byte-identical vs -parallel 1)\n", r.Parallel)
+	fmt.Fprintf(w, "%12s %12s %9s %8s  %s\n", "seq wall", "par wall", "speedup", "metrics", "invocation")
 	for _, e := range r.Experiments {
-		fmt.Fprintf(w, "%-10s %6d %10.0fms %10.0fms %8.2fx %9d\n",
-			e.Name, e.Jobs, e.SeqWallMS, e.ParWallMS, e.Speedup, len(e.Metrics))
+		fmt.Fprintf(w, "%10.0fms %10.0fms %8.2fx %8d  %s\n",
+			e.SeqWallMS, e.ParWallMS, e.Speedup, len(e.Metrics), e.Invocation)
 	}
-	fmt.Fprintf(w, "%-10s %6s %10.0fms %10.0fms %8.2fx\n", "total", "-", r.SeqWallMS, r.ParWallMS, r.Speedup)
+	fmt.Fprintf(w, "%10.0fms %10.0fms %8.2fx %8s  %s\n", r.SeqWallMS, r.ParWallMS, r.Speedup, "", "total")
 	if s := r.Snapshot; s.Forks > 0 {
 		fmt.Fprintf(w, "warm-state reuse: %d families, %d forks, %d warm-ups skipped, %.1f KB copied, ~%.0f ms warm-up saved\n",
 			s.Families, s.Forks, s.WarmupsReused, float64(s.BytesCopied)/1024, s.WarmupMSSaved)

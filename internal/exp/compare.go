@@ -23,9 +23,8 @@ import (
 	"repro/internal/workload"
 )
 
-// CompareParams selects what one compare run measures. The zero value
-// normalises to every registered backend, the default benchmark, the
-// quick fork window, and a small SpMV subset.
+// CompareParams selects what one compare run measures. An empty
+// Backends list runs every registered backend.
 type CompareParams struct {
 	// Backends are the translation backends to run (empty = all
 	// registered, in sorted order).
@@ -54,23 +53,12 @@ func DefaultCompareParams() CompareParams {
 	}
 }
 
-// normalize fills zero fields with the defaults.
+// normalize fills an empty backend list with every registered backend.
+// The other fields arrive filled: JobSpec.Normalized applies the compare
+// subcommand's defaults (DefaultCompareParams) before the run.
 func (p CompareParams) normalize() CompareParams {
-	d := DefaultCompareParams()
 	if len(p.Backends) == 0 {
 		p.Backends = core.Backends()
-	}
-	if p.Bench == "" {
-		p.Bench = d.Bench
-	}
-	if p.Warm == 0 {
-		p.Warm = d.Warm
-	}
-	if p.Measure == 0 {
-		p.Measure = d.Measure
-	}
-	if p.Matrices == 0 {
-		p.Matrices = d.Matrices
 	}
 	return p
 }
@@ -135,11 +123,6 @@ var compareCounterPrefixes = []string{"tlb.", "omt.", "core.", "vbi.", "utopia."
 // forks copy-on-write (the overlayMode argument is a no-op for them).
 func nativeOverlayMode(backend string) bool {
 	return backendName(backend) == "overlay"
-}
-
-// RunCompare is RunComparePool at Parallel 1.
-func RunCompare(params CompareParams) (*CompareReport, error) {
-	return RunComparePool(context.Background(), Pool{Parallel: 1}, params)
 }
 
 // RunComparePool measures every requested backend, one pool job per

@@ -63,7 +63,7 @@ func mustSpec(t *testing.T, name string) workload.Spec {
 }
 
 func TestRunForkSuiteSubset(t *testing.T) {
-	results, err := RunForkSuite(QuickForkParams(), []string{"bwaves", "astar"})
+	results, err := RunForkSuitePool(context.Background(), Pool{Parallel: 1}, QuickForkParams(), []string{"bwaves", "astar"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestRunForkSuiteSubset(t *testing.T) {
 }
 
 func TestRunForkSuiteUnknownName(t *testing.T) {
-	if _, err := RunForkSuite(QuickForkParams(), []string{"nope"}); err == nil {
+	if _, err := RunForkSuitePool(context.Background(), Pool{Parallel: 1}, QuickForkParams(), []string{"nope"}); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -117,7 +117,7 @@ func TestSpMVCrossesOverWithL(t *testing.T) {
 }
 
 func TestFigure10Sampling(t *testing.T) {
-	results, err := RunFigure10(3, false)
+	results, err := RunFigure10Pool(context.Background(), Pool{Parallel: 1}, 3, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,10 @@ func TestFigure10Sampling(t *testing.T) {
 }
 
 func TestFigure11Shapes(t *testing.T) {
-	results := RunFigure11(10)
+	results, err := RunFigure11Pool(context.Background(), Pool{Parallel: 1}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != 10 {
 		t.Fatalf("got %d results", len(results))
 	}
@@ -175,7 +178,7 @@ func TestFigure11Shapes(t *testing.T) {
 }
 
 func TestSparsitySweepMonotone(t *testing.T) {
-	results, err := RunSparsitySweep(4, 128)
+	results, err := RunSparsitySweepPool(context.Background(), Pool{Parallel: 1}, 4, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,16 +204,16 @@ func TestSparsitySweepMonotone(t *testing.T) {
 }
 
 func TestSweepNeedsTwoPoints(t *testing.T) {
-	if _, err := RunSparsitySweep(1, 64); err == nil {
+	if _, err := RunSparsitySweepPool(context.Background(), Pool{Parallel: 1}, 1, 64); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
-func TestRunWithStats(t *testing.T) {
+func TestRunStatsExport(t *testing.T) {
 	spec := mustSpec(t, "hmmer")
 	cfg := spmvConfig(0)
 	cfg.MemoryPages = spec.Pages*2 + 16384
-	out, err := RunWithStats(spec, cfg, QuickForkParams(), true)
+	out, _, err := RunStatsExport(context.Background(), spec, cfg, QuickForkParams(), true)
 	if err != nil {
 		t.Fatal(err)
 	}

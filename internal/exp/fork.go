@@ -132,41 +132,52 @@ func backendName(b string) string {
 // "fork.measure") as a child of whatever span the context carries —
 // under a served job that is the worker's harness.job span. Nil-safe
 // and free when tracing is disabled.
-func phaseSpan(ctx context.Context, name string, spec workload.Spec, overlayMode bool) *obs.Span {
+func phaseSpan(ctx context.Context, name string, spec workload.Spec, mechanism string) *obs.Span {
 	_, span := obs.StartSpan(ctx, name)
 	if span != nil {
 		span.SetAttr("bench", spec.Name)
-		span.SetAttr("mechanism", mechName(overlayMode))
+		span.SetAttr("mechanism", mechanism)
 	}
 	return span
 }
 
-// runMechanismCfg is runMechanism with an explicit framework config:
-// the cold path — build, warm, fork, measure, all in one framework.
-func runMechanismCfg(ctx context.Context, spec workload.Spec, cfg core.Config, params ForkParams, overlayMode bool) (MechanismResult, error) {
+// warmUp builds a framework from cfg, maps the benchmark's footprint
+// and runs its pre-fork region ("fork.warmup" span, labelled with
+// mechanism), leaving the framework quiescent at the fork point. Every
+// fork path starts here: the cold run, the family capture and RunForkCPI.
+func warmUp(ctx context.Context, spec workload.Spec, cfg core.Config, params ForkParams, mechanism string) (*core.Framework, *cpu.Core, *vm.Process, error) {
 	f, err := core.New(cfg)
 	if err != nil {
-		return MechanismResult{}, err
+		return nil, nil, nil, err
 	}
 	if params.Trace != nil {
-		params.Trace.BeginTrack(spec.Name + "/" + mechName(overlayMode))
+		params.Trace.BeginTrack(spec.Name + "/" + mechanism)
 		f.SetTrace(params.Trace)
 	}
 	proc := f.VM.NewProcess()
 	if err := spec.MapFootprint(f, proc); err != nil {
-		return MechanismResult{}, err
+		return nil, nil, nil, err
 	}
 	port := f.NewPort()
 	c := cpu.New(f.Engine, port, proc.PID, spec.NewTrace())
 
-	// Warm-up: run the pre-fork region of the benchmark.
-	warm := phaseSpan(ctx, "fork.warmup", spec, overlayMode)
+	warm := phaseSpan(ctx, "fork.warmup", spec, mechanism)
 	warmDone := false
 	c.Run(params.WarmInstructions, func() { warmDone = true })
 	f.Engine.Run()
 	warm.End()
 	if !warmDone {
-		return MechanismResult{}, fmt.Errorf("exp: warm-up never finished")
+		return nil, nil, nil, fmt.Errorf("exp: warm-up never finished")
+	}
+	return f, c, proc, nil
+}
+
+// runMechanismCfg is runMechanism with an explicit framework config:
+// the cold path — build, warm, fork, measure, all in one framework.
+func runMechanismCfg(ctx context.Context, spec workload.Spec, cfg core.Config, params ForkParams, overlayMode bool) (MechanismResult, error) {
+	f, c, proc, err := warmUp(ctx, spec, cfg, params, mechName(overlayMode))
+	if err != nil {
+		return MechanismResult{}, err
 	}
 	return measureMechanism(ctx, spec, params, overlayMode, f, c, proc)
 }
@@ -190,7 +201,7 @@ func measureMechanism(ctx context.Context, spec workload.Spec, params ForkParams
 		params.SeriesEpoch, forkSeriesCounters...)
 	f.Engine.Attach(series)
 
-	measure := phaseSpan(ctx, "fork.measure", spec, overlayMode)
+	measure := phaseSpan(ctx, "fork.measure", spec, mechName(overlayMode))
 	measureDone := false
 	c.Run(params.MeasureInstructions, func() { measureDone = true })
 	f.Engine.Run()
@@ -246,30 +257,12 @@ func warmForkFamily(ctx context.Context, spec workload.Spec, params ForkParams) 
 	cfg := core.DefaultConfig()
 	cfg.MemoryPages = spec.Pages*2 + 16384
 	cfg.Backend = params.Backend
-	f, err := core.New(cfg)
+	start := time.Now()
+	f, c, proc, err := warmUp(ctx, spec, cfg, params, "shared")
 	if err != nil {
 		return nil, err
 	}
-	proc := f.VM.NewProcess()
-	if err := spec.MapFootprint(f, proc); err != nil {
-		return nil, err
-	}
-	port := f.NewPort()
-	c := cpu.New(f.Engine, port, proc.PID, spec.NewTrace())
-
-	warm := phaseSpan(ctx, "fork.warmup", spec, false)
-	if warm != nil {
-		warm.SetAttr("mechanism", "shared")
-	}
-	start := time.Now()
-	warmDone := false
-	c.Run(params.WarmInstructions, func() { warmDone = true })
-	f.Engine.Run()
 	warmUS := uint64(time.Since(start).Microseconds())
-	warm.End()
-	if !warmDone {
-		return nil, fmt.Errorf("exp: warm-up never finished")
-	}
 
 	snapSp := snapSpan(ctx, "fork.snapshot", forkFamilyKey(spec, params))
 	fam := &forkFamily{
@@ -332,12 +325,6 @@ func RunForkBenchmark(ctx context.Context, spec workload.Spec, params ForkParams
 		return ForkResult{}, fmt.Errorf("%s/oow: %w", spec.Name, err)
 	}
 	return ForkResult{Benchmark: spec.Name, Type: spec.Type, CoW: cow, OoW: oow}, nil
-}
-
-// RunForkSuite measures every benchmark (or the named subset)
-// sequentially. It is RunForkSuitePool at Parallel 1.
-func RunForkSuite(params ForkParams, names []string) ([]ForkResult, error) {
-	return RunForkSuitePool(context.Background(), Pool{Parallel: 1}, params, names)
 }
 
 // RunForkSuitePool measures every benchmark (or the named subset).
@@ -428,20 +415,14 @@ func RunForkSuitePool(ctx context.Context, pool Pool, params ForkParams, names [
 // and returns the post-fork CPI (ablation studies use this to sweep
 // framework parameters).
 func RunForkCPI(spec workload.Spec, cfg core.Config, params ForkParams, overlayMode bool) (float64, error) {
-	f, c, err := runToFork(spec, cfg, params, overlayMode)
+	f, c, proc, err := warmUp(context.Background(), spec, cfg, params, mechName(overlayMode))
 	if err != nil {
 		return 0, err
 	}
+	f.Fork(proc, overlayMode)
 	c.Run(params.MeasureInstructions, nil)
 	f.Engine.Run()
 	return c.CPI(), nil
-}
-
-// RunWithStats runs one benchmark under one mechanism with the given
-// config and returns the engine's full counter dump (debug/CLI aid).
-func RunWithStats(spec workload.Spec, cfg core.Config, params ForkParams, overlayMode bool) (string, error) {
-	out, _, err := RunStatsExport(context.Background(), spec, cfg, params, overlayMode)
-	return out, err
 }
 
 // RunStatsExport runs one benchmark under one mechanism and returns both
@@ -477,24 +458,6 @@ func ForkExport(params ForkParams, results []ForkResult) (*sim.Export, *sim.Stat
 	ex.Config = params
 	ex.Results = results
 	return ex, merged
-}
-
-// runToFork builds the system, warms the benchmark, and forks.
-func runToFork(spec workload.Spec, cfg core.Config, params ForkParams, overlayMode bool) (*core.Framework, *cpu.Core, error) {
-	f, err := core.New(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	proc := f.VM.NewProcess()
-	if err := spec.MapFootprint(f, proc); err != nil {
-		return nil, nil, err
-	}
-	port := f.NewPort()
-	c := cpu.New(f.Engine, port, proc.PID, spec.NewTrace())
-	c.Run(params.WarmInstructions, nil)
-	f.Engine.Run()
-	f.Fork(proc, overlayMode)
-	return f, c, nil
 }
 
 // PrintFigure8 renders the additional-memory comparison (Figure 8).

@@ -25,19 +25,13 @@ type LineSizeResult struct {
 	CSR       float64
 }
 
-// RunFigure11 computes the line-size sensitivity for the suite (limit ≤ 0
-// runs all 87 matrices). Purely analytic — no simulation needed, exactly
-// as in the paper. It is RunFigure11Pool at Parallel 1.
-func RunFigure11(limit int) []LineSizeResult {
-	results, _ := RunFigure11Pool(context.Background(), Pool{Parallel: 1}, limit)
-	return results
-}
-
-// RunFigure11Pool computes the per-matrix overheads with one job per
-// matrix fanned across the pool, then applies the same stable sort by
-// L as the sequential path (jobs are collected by index, so the
-// pre-sort order — and therefore the sorted output — is identical at
-// any worker count). The only possible error is pool cancellation.
+// RunFigure11Pool computes the line-size sensitivity for the suite
+// (limit ≤ 0 runs all 87 matrices). Purely analytic — no simulation
+// needed, exactly as in the paper. Each matrix's overheads are one job
+// fanned across the pool, then the results take a stable sort by L
+// (jobs are collected by index, so the pre-sort order — and therefore
+// the sorted output — is identical at any worker count). The only
+// possible error is pool cancellation.
 func RunFigure11Pool(ctx context.Context, pool Pool, limit int) ([]LineSizeResult, error) {
 	ms, err := suiteSubset(ctx, pool, limit)
 	if err != nil {

@@ -28,11 +28,11 @@ func TestSweepParallelBitIdentical(t *testing.T) {
 }
 
 // TestForkSuiteParallelBitIdentical compares the simulated fork
-// metrics between the sequential wrapper and an 4-worker pool run.
+// metrics between a sequential and a 4-worker pool run.
 func TestForkSuiteParallelBitIdentical(t *testing.T) {
 	params := QuickForkParams()
 	names := []string{"hmmer", "mcf"}
-	seq, err := RunForkSuite(params, names)
+	seq, err := RunForkSuitePool(context.Background(), Pool{Parallel: 1}, params, names)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestForkSuiteParallelBitIdentical(t *testing.T) {
 // analytic line-size sweep keep their ordering and values under the
 // pool.
 func TestFigure10and11PoolMatchSequential(t *testing.T) {
-	seq10, err := RunFigure10(3, false)
+	seq10, err := RunFigure10Pool(context.Background(), Pool{Parallel: 1}, 3, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,10 @@ func TestFigure10and11PoolMatchSequential(t *testing.T) {
 		t.Errorf("Figure 10 diverges across worker counts")
 	}
 
-	seq11 := RunFigure11(8)
+	seq11, err := RunFigure11Pool(context.Background(), Pool{Parallel: 1}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	par11, err := RunFigure11Pool(context.Background(), Pool{Parallel: 8}, 8)
 	if err != nil {
 		t.Fatal(err)

@@ -227,16 +227,10 @@ func vectorsEqual(a, b []float64) bool {
 	return true
 }
 
-// RunFigure10 sweeps the matrix suite (limit ≤ 0 runs all 87), sorted by
-// ascending L as in the paper's x-axis. It is RunFigure10Pool at
-// Parallel 1.
-func RunFigure10(limit int, withDense bool) ([]SpMVResult, error) {
-	return RunFigure10Pool(context.Background(), Pool{Parallel: 1}, limit, withDense)
-}
-
-// RunFigure10Pool sweeps the matrix suite with one job per matrix
-// fanned across the pool; the result order (ascending L) is fixed by
-// the suite, not by completion order.
+// RunFigure10Pool sweeps the matrix suite (limit ≤ 0 runs all 87) with
+// one job per matrix fanned across the pool; the result order
+// (ascending L, the paper's x-axis) is fixed by the suite, not by
+// completion order.
 //
 // By default every simulation forks its framework from a pristine
 // capture shared by all matrices of the same footprint (the whole suite

@@ -97,9 +97,11 @@ func PromEscapeLabel(s string) string {
 	if !strings.ContainsAny(s, "\\\"\n") {
 		return s
 	}
+	// Byte-wise, so bytes that are not valid UTF-8 pass through as they
+	// are instead of becoming U+FFFD.
 	var sb strings.Builder
-	for _, r := range s {
-		switch r {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
 		case '\\':
 			sb.WriteString(`\\`)
 		case '"':
@@ -107,7 +109,7 @@ func PromEscapeLabel(s string) string {
 		case '\n':
 			sb.WriteString(`\n`)
 		default:
-			sb.WriteRune(r)
+			sb.WriteByte(c)
 		}
 	}
 	return sb.String()
@@ -222,7 +224,9 @@ func parsePromLabel(s string) (label, value string, err error) {
 		return "", "", fmt.Errorf("unsupported labels %q", s)
 	}
 	eq := strings.IndexByte(s, '=')
-	if eq < 0 || eq+1 >= len(s) || s[eq+1] != '"' {
+	// The value's opening quote must precede the closing `"}`: in
+	// `{b="}` the two quotes are one character.
+	if eq < 0 || eq+2 > len(s)-2 || s[eq+1] != '"' {
 		return "", "", fmt.Errorf("unsupported labels %q", s)
 	}
 	label = s[1:eq]

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -124,6 +125,7 @@ func TestParsePrometheusRejectsMalformed(t *testing.T) {
 		"empty label name": `m{="x"} 1` + "\n",
 		"dangling escape":  `m{job="x\"} 1` + "\n",
 		"unknown escape":   `m{job="x\q"} 1` + "\n",
+		"one quote":        `m{job="} 1` + "\n",
 	} {
 		if _, _, err := ParsePrometheus(strings.NewReader(doc)); err == nil {
 			t.Errorf("%s: parser accepted %q", name, doc)
@@ -221,7 +223,8 @@ func TestPromLabelEscapingRoundTrip(t *testing.T) {
 		`trailing backslash\`,
 		`all three: \ " ` + "\n",
 		`ends with quote"`,
-		`"}`, // label-closer inside the value
+		`"}`,              // label-closer inside the value
+		"\xff\"not utf-8", // bytes pass through unchanged
 		``,
 	}
 	var doc strings.Builder
@@ -251,4 +254,41 @@ func TestPromLabelEscapingRoundTrip(t *testing.T) {
 	if err != nil || len(smp) != 1 || smp[0].Le != "+Inf" || smp[0].LabelVal != "+Inf" {
 		t.Fatalf("le sample = %+v (%v)", smp, err)
 	}
+}
+
+// FuzzParsePrometheus feeds arbitrary documents to the parser the
+// coordinator runs over every worker's /metrics. It must never panic,
+// and every document it accepts must survive a re-render: writing each
+// sample back as `name{label="escaped value"} value` and parsing again
+// yields the same samples.
+func FuzzParsePrometheus(f *testing.F) {
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		samples, _, err := ParsePrometheus(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		var out strings.Builder
+		for _, s := range samples {
+			out.WriteString(s.Name)
+			if s.Label != "" {
+				fmt.Fprintf(&out, "{%s=\"%s\"}", s.Label, PromEscapeLabel(s.LabelVal))
+			}
+			fmt.Fprintf(&out, " %s\n", strconv.FormatFloat(s.Value, 'g', -1, 64))
+		}
+		back, _, err := ParsePrometheus(strings.NewReader(out.String()))
+		if err != nil {
+			t.Fatalf("re-rendered document does not parse: %v\n%q", err, out.String())
+		}
+		if len(back) != len(samples) {
+			t.Fatalf("re-render parsed %d samples, want %d\n%q", len(back), len(samples), out.String())
+		}
+		for i, want := range samples {
+			got := back[i]
+			sameValue := got.Value == want.Value || math.IsNaN(got.Value) && math.IsNaN(want.Value)
+			if got.Name != want.Name || got.Label != want.Label || got.LabelVal != want.LabelVal ||
+				got.Le != want.Le || !sameValue {
+				t.Fatalf("sample %d: re-render parsed %+v, want %+v", i, got, want)
+			}
+		}
+	})
 }
