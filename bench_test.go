@@ -344,7 +344,7 @@ func BenchmarkAblationL3Replacement(b *testing.B) {
 				cfg := core.DefaultConfig()
 				cfg.MemoryPages = spec.Pages*2 + 16384
 				if !drrip {
-					cfg.Cache.L3.NewRepl = cache.NewLRU
+					cfg.Cache.L3.Policy = cache.LRU
 				}
 				cpi, err = exp.RunForkCPI(spec, cfg, exp.QuickForkParams(), true)
 				if err != nil {

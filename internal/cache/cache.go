@@ -9,6 +9,10 @@
 // tags" cost the paper accounts for in §4.5. The hierarchy is timing-only:
 // functional data lives in internal/mem and is updated by the core
 // framework at access time.
+//
+// Each level keeps its tags in one flat array of words, one word per
+// way, and its replacement state in flat per-way arrays beside it, so a
+// fill scans the set once to find a hit, a free way and the victim.
 package cache
 
 import (
@@ -17,40 +21,61 @@ import (
 	"repro/internal/arch"
 )
 
-// line is one cache block's tag state.
-type line struct {
-	valid bool
-	dirty bool
-	tag   uint64 // full line number (addr >> LineShift), overlay bit included
-}
+// Policy selects a cache level's replacement policy.
+type Policy uint8
 
-// Replacement is a per-set replacement policy.
-type Replacement interface {
-	// OnHit is called when way in set hits.
-	OnHit(set, way int)
-	// OnMiss is called when a lookup misses in set (before any fill).
-	OnMiss(set int)
-	// OnFill is called after a block is installed into way of set.
-	OnFill(set, way int)
-	// Victim selects the way to evict from a full set.
-	Victim(set int) int
-}
+const (
+	// LRU evicts the least recently used line.
+	LRU Policy = iota
+	// DRRIP is dynamic re-reference interval prediction (Jaleel et al.,
+	// ISCA 2010): SRRIP and BRRIP insertion chosen by set dueling.
+	DRRIP
+)
+
+// A tag word holds line<<2 | dirty<<1 | valid. A line number is at most
+// 58 bits (the widened address space shifted by LineShift), so it fits.
+const (
+	validBit = 1
+	dirtyBit = 2
+)
+
+// DRRIP constants: 2-bit re-reference prediction values, set dueling
+// between SRRIP and BRRIP with a 10-bit policy selector.
+const (
+	rrpvMax      = 3    // distant re-reference
+	rrpvLong     = 2    // long re-reference (SRRIP insertion)
+	pselMax      = 1023 // 10-bit saturating selector
+	duelPeriod   = 32   // one leader set per 32 sets per policy
+	brripEpsilon = 32   // BRRIP inserts "long" once every 32 fills
+)
 
 // Cache is a single set-associative cache level.
 type Cache struct {
-	Name string
-	sets int
-	ways int
-	data [][]line
-	repl Replacement
+	Name   string
+	sets   int
+	ways   int
+	policy Policy
+	tags   []uint64 // sets*ways tag words, set-major
+
+	// LRU: the clock value of each way's last touch. A way that holds
+	// no line has stamp 0, so a set's oldest stamp names its first free
+	// way when it has one and its least recently used line otherwise.
+	stamp []uint64
+	clock uint64
+
+	// DRRIP: each way's re-reference prediction value, the dueling
+	// selector, and the fill count that paces BRRIP's long insertions.
+	rrpv    []uint8
+	psel    int
+	fillSeq uint64
 
 	Hits   uint64
 	Misses uint64
 }
 
-// New builds a cache of sizeBytes capacity and the given associativity.
-// newRepl constructs the replacement policy for (sets, ways).
-func New(name string, sizeBytes, ways int, newRepl func(sets, ways int) Replacement) *Cache {
+// New builds a cache of sizeBytes capacity, the given associativity and
+// replacement policy.
+func New(name string, sizeBytes, ways int, policy Policy) *Cache {
 	lines := sizeBytes / arch.LineSize
 	if lines%ways != 0 {
 		panic(fmt.Sprintf("cache %s: %d lines not divisible by %d ways", name, lines, ways))
@@ -59,12 +84,20 @@ func New(name string, sizeBytes, ways int, newRepl func(sets, ways int) Replacem
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d not a power of two", name, sets))
 	}
-	data := make([][]line, sets)
-	backing := make([]line, sets*ways)
-	for i := range data {
-		data[i], backing = backing[:ways], backing[ways:]
+	c := &Cache{Name: name, sets: sets, ways: ways, policy: policy, tags: make([]uint64, lines)}
+	switch policy {
+	case LRU:
+		c.stamp = make([]uint64, lines)
+	case DRRIP:
+		c.rrpv = make([]uint8, lines)
+		for i := range c.rrpv {
+			c.rrpv[i] = rrpvMax
+		}
+		c.psel = pselMax / 2
+	default:
+		panic(fmt.Sprintf("cache %s: unknown replacement policy %d", name, policy))
 	}
-	return &Cache{Name: name, sets: sets, ways: ways, data: data, repl: newRepl(sets, ways)}
+	return c
 }
 
 // Sets returns the number of sets.
@@ -73,34 +106,92 @@ func (c *Cache) Sets() int { return c.sets }
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
-func (c *Cache) index(addr arch.PhysAddr) (set int, tag uint64) {
-	lineNum := uint64(addr) >> arch.LineShift
-	return int(lineNum % uint64(c.sets)), lineNum
+// locate returns addr's set and the tag word a clean copy of its line
+// holds.
+func (c *Cache) locate(addr arch.PhysAddr) (set int, want uint64) {
+	line := uint64(addr) >> arch.LineShift
+	return int(line & uint64(c.sets-1)), line<<2 | validBit
 }
 
-func (c *Cache) find(addr arch.PhysAddr) (set, way int, ok bool) {
-	set, tag := c.index(addr)
-	for w := range c.data[set] {
-		if l := &c.data[set][w]; l.valid && l.tag == tag {
-			return set, w, true
+// find returns addr's set and the flat index of the way holding its
+// line, or -1.
+func (c *Cache) find(addr arch.PhysAddr) (set, i int) {
+	set, want := c.locate(addr)
+	base := set * c.ways
+	for w, x := range c.tags[base : base+c.ways] {
+		if x&^dirtyBit == want {
+			return set, base + w
 		}
 	}
-	return set, -1, false
+	return set, -1
+}
+
+// touch records a hit on the way at flat index i.
+func (c *Cache) touch(i int) {
+	if c.policy == LRU {
+		c.clock++
+		c.stamp[i] = c.clock
+	} else {
+		c.rrpv[i] = 0
+	}
+}
+
+// vacate empties the way at flat index i.
+func (c *Cache) vacate(i int) {
+	c.tags[i] = 0
+	if c.policy == LRU {
+		c.stamp[i] = 0
+	}
+}
+
+// leader classifies a set for DRRIP's duel: +1 SRRIP leader, -1 BRRIP
+// leader, 0 follower.
+func leader(set int) int {
+	switch set % duelPeriod {
+	case 0:
+		return 1
+	case duelPeriod / 2:
+		return -1
+	default:
+		return 0
+	}
+}
+
+// insertion returns the RRPV a DRRIP fill into set installs.
+func (c *Cache) insertion(set int) uint8 {
+	c.fillSeq++
+	srrip := c.psel >= pselMax/2
+	if l := leader(set); l != 0 {
+		srrip = l > 0
+	}
+	// BRRIP inserts at distant re-reference, with an occasional long one.
+	if srrip || c.fillSeq%brripEpsilon == 0 {
+		return rrpvLong
+	}
+	return rrpvMax
 }
 
 // Lookup probes the cache. On a hit it updates replacement state, marks
 // the line dirty if write is set, and returns true.
 func (c *Cache) Lookup(addr arch.PhysAddr, write bool) bool {
-	set, way, ok := c.find(addr)
-	if !ok {
+	set, i := c.find(addr)
+	if i < 0 {
 		c.Misses++
-		c.repl.OnMiss(set)
+		if c.policy == DRRIP {
+			// A miss in a leader set is a vote against its policy.
+			switch leader(set) {
+			case 1:
+				c.psel = max(c.psel-1, 0)
+			case -1:
+				c.psel = min(c.psel+1, pselMax)
+			}
+		}
 		return false
 	}
 	c.Hits++
-	c.repl.OnHit(set, way)
+	c.touch(i)
 	if write {
-		c.data[set][way].dirty = true
+		c.tags[i] |= dirtyBit
 	}
 	return true
 }
@@ -108,8 +199,8 @@ func (c *Cache) Lookup(addr arch.PhysAddr, write bool) bool {
 // Present reports whether the line is cached, without touching
 // replacement or hit/miss statistics.
 func (c *Cache) Present(addr arch.PhysAddr) bool {
-	_, _, ok := c.find(addr)
-	return ok
+	_, i := c.find(addr)
+	return i >= 0
 }
 
 // Eviction describes a block displaced by Fill.
@@ -119,44 +210,75 @@ type Eviction struct {
 }
 
 // Fill installs the line, evicting a victim if the set is full. The
-// returned eviction is valid only when evicted is true.
+// returned eviction is valid only when evicted is true. A line already
+// present (e.g. a racing prefetch) only merges its dirty state.
 func (c *Cache) Fill(addr arch.PhysAddr, dirty bool) (ev Eviction, evicted bool) {
-	set, tag := c.index(addr)
-	// Already present (e.g. racing prefetch): just merge dirty state.
-	for w := range c.data[set] {
-		if l := &c.data[set][w]; l.valid && l.tag == tag {
-			l.dirty = l.dirty || dirty
-			c.repl.OnFill(set, w)
-			return Eviction{}, false
-		}
+	set, want := c.locate(addr)
+	base := set * c.ways
+	tags := c.tags[base : base+c.ways]
+	var d uint64
+	if dirty {
+		d = dirtyBit
 	}
-	way := -1
-	for w := range c.data[set] {
-		if !c.data[set][w].valid {
-			way = w
-			break
+	var v int // the way to fill
+	if c.policy == LRU {
+		stamps := c.stamp[base : base+c.ways]
+		oldest := stamps[0]
+		for w, x := range tags {
+			if x&^dirtyBit == want {
+				tags[w] = x | d
+				c.touch(base + w)
+				return Eviction{}, false
+			}
+			if stamps[w] < oldest {
+				v, oldest = w, stamps[w]
+			}
 		}
+		c.touch(base + v)
+	} else {
+		rrpv := c.rrpv[base : base+c.ways]
+		free, far := -1, rrpv[0]
+		for w, x := range tags {
+			if x&^dirtyBit == want {
+				tags[w] = x | d
+				rrpv[w] = c.insertion(set)
+				return Eviction{}, false
+			}
+			if x&validBit == 0 && free < 0 {
+				free = w
+			}
+			if rrpv[w] > far {
+				v, far = w, rrpv[w]
+			}
+		}
+		if free >= 0 {
+			v = free
+		} else if far < rrpvMax {
+			// Age the set until its most distant way reaches rrpvMax;
+			// the first such way is the victim.
+			for w := range rrpv {
+				rrpv[w] += rrpvMax - far
+			}
+		}
+		rrpv[v] = c.insertion(set)
 	}
-	if way == -1 {
-		way = c.repl.Victim(set)
-		v := c.data[set][way]
-		ev = Eviction{Addr: arch.PhysAddr(v.tag << arch.LineShift), Dirty: v.dirty}
+	if x := tags[v]; x&validBit != 0 {
+		ev = Eviction{Addr: arch.PhysAddr(x >> 2 << arch.LineShift), Dirty: x&dirtyBit != 0}
 		evicted = true
 	}
-	c.data[set][way] = line{valid: true, dirty: dirty, tag: tag}
-	c.repl.OnFill(set, way)
+	tags[v] = want | d
 	return ev, evicted
 }
 
 // Invalidate removes the line if present, returning whether it was present
 // and whether it was dirty.
 func (c *Cache) Invalidate(addr arch.PhysAddr) (present, dirty bool) {
-	set, way, ok := c.find(addr)
-	if !ok {
+	_, i := c.find(addr)
+	if i < 0 {
 		return false, false
 	}
-	dirty = c.data[set][way].dirty
-	c.data[set][way] = line{}
+	dirty = c.tags[i]&dirtyBit != 0
+	c.vacate(i)
 	return true, dirty
 }
 
@@ -166,41 +288,28 @@ func (c *Cache) Invalidate(addr arch.PhysAddr) (present, dirty bool) {
 // false when oldAddr is not cached. If the new tag maps to a different
 // set, the line is refilled there (possibly evicting a victim).
 func (c *Cache) Retag(oldAddr, newAddr arch.PhysAddr) (moved bool, ev Eviction, evicted bool) {
-	set, way, ok := c.find(oldAddr)
-	if !ok {
+	set, i := c.find(oldAddr)
+	if i < 0 {
 		return false, Eviction{}, false
 	}
-	dirty := c.data[set][way].dirty
-	newSet, newTag := c.index(newAddr)
+	newSet, want := c.locate(newAddr)
 	if newSet == set {
-		c.data[set][way].tag = newTag
+		c.tags[i] = want | c.tags[i]&dirtyBit
 		return true, Eviction{}, false
 	}
-	c.data[set][way] = line{}
+	dirty := c.tags[i]&dirtyBit != 0
+	c.vacate(i)
 	ev, evicted = c.Fill(newAddr, dirty)
 	return true, ev, evicted
-}
-
-// SetDirty marks a present line dirty (used when a retagged block absorbs
-// the triggering store).
-func (c *Cache) SetDirty(addr arch.PhysAddr) bool {
-	set, way, ok := c.find(addr)
-	if !ok {
-		return false
-	}
-	c.data[set][way].dirty = true
-	return true
 }
 
 // DirtyLines returns the addresses of all dirty lines (test/debug aid and
 // used by flush-style promotions).
 func (c *Cache) DirtyLines() []arch.PhysAddr {
 	var out []arch.PhysAddr
-	for s := range c.data {
-		for w := range c.data[s] {
-			if l := c.data[s][w]; l.valid && l.dirty {
-				out = append(out, arch.PhysAddr(l.tag<<arch.LineShift))
-			}
+	for _, x := range c.tags {
+		if x&(validBit|dirtyBit) == validBit|dirtyBit {
+			out = append(out, arch.PhysAddr(x>>2<<arch.LineShift))
 		}
 	}
 	return out

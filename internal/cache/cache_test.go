@@ -10,14 +10,14 @@ import (
 func addrOf(lineNum uint64) arch.PhysAddr { return arch.PhysAddr(lineNum << arch.LineShift) }
 
 func TestCacheGeometry(t *testing.T) {
-	c := New("l1", 64<<10, 4, NewLRU)
+	c := New("l1", 64<<10, 4, LRU)
 	if c.Sets() != 256 || c.Ways() != 4 {
 		t.Fatalf("sets=%d ways=%d, want 256/4", c.Sets(), c.Ways())
 	}
 }
 
 func TestLookupMissThenHit(t *testing.T) {
-	c := New("t", 4096, 2, NewLRU) // 32 sets
+	c := New("t", 4096, 2, LRU) // 32 sets
 	a := addrOf(5)
 	if c.Lookup(a, false) {
 		t.Fatal("unexpected hit in empty cache")
@@ -32,7 +32,7 @@ func TestLookupMissThenHit(t *testing.T) {
 }
 
 func TestWriteMarksDirty(t *testing.T) {
-	c := New("t", 4096, 2, NewLRU)
+	c := New("t", 4096, 2, LRU)
 	a := addrOf(3)
 	c.Fill(a, false)
 	c.Lookup(a, true)
@@ -43,7 +43,7 @@ func TestWriteMarksDirty(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New("t", 2*arch.LineSize, 2, NewLRU) // 1 set, 2 ways
+	c := New("t", 2*arch.LineSize, 2, LRU) // 1 set, 2 ways
 	a, b, d := addrOf(0), addrOf(1), addrOf(2)
 	c.Fill(a, false)
 	c.Fill(b, false)
@@ -58,7 +58,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestEvictionReportsDirty(t *testing.T) {
-	c := New("t", 2*arch.LineSize, 2, NewLRU)
+	c := New("t", 2*arch.LineSize, 2, LRU)
 	c.Fill(addrOf(0), true)
 	c.Fill(addrOf(1), false)
 	ev, evicted := c.Fill(addrOf(2), false)
@@ -68,7 +68,7 @@ func TestEvictionReportsDirty(t *testing.T) {
 }
 
 func TestFillIsIdempotentAndMergesDirty(t *testing.T) {
-	c := New("t", 4096, 2, NewLRU)
+	c := New("t", 4096, 2, LRU)
 	a := addrOf(9)
 	c.Fill(a, false)
 	_, evicted := c.Fill(a, true)
@@ -81,7 +81,7 @@ func TestFillIsIdempotentAndMergesDirty(t *testing.T) {
 }
 
 func TestInvalidate(t *testing.T) {
-	c := New("t", 4096, 2, NewLRU)
+	c := New("t", 4096, 2, LRU)
 	a := addrOf(7)
 	c.Fill(a, true)
 	present, dirty := c.Invalidate(a)
@@ -98,7 +98,7 @@ func TestInvalidate(t *testing.T) {
 }
 
 func TestRetagSameSet(t *testing.T) {
-	c := New("t", 64*arch.LineSize, 4, NewLRU) // 16 sets
+	c := New("t", 64*arch.LineSize, 4, LRU) // 16 sets
 	// Same set ⇒ line numbers congruent mod 16.
 	oldA, newA := addrOf(3), addrOf(3+16)
 	c.Fill(oldA, true)
@@ -115,7 +115,7 @@ func TestRetagSameSet(t *testing.T) {
 }
 
 func TestRetagDifferentSet(t *testing.T) {
-	c := New("t", 64*arch.LineSize, 4, NewLRU)
+	c := New("t", 64*arch.LineSize, 4, LRU)
 	oldA, newA := addrOf(3), addrOf(4)
 	c.Fill(oldA, false)
 	moved, _, _ := c.Retag(oldA, newA)
@@ -125,7 +125,7 @@ func TestRetagDifferentSet(t *testing.T) {
 }
 
 func TestRetagMiss(t *testing.T) {
-	c := New("t", 4096, 2, NewLRU)
+	c := New("t", 4096, 2, LRU)
 	moved, _, _ := c.Retag(addrOf(1), addrOf(2))
 	if moved {
 		t.Fatal("retag of absent line reported moved")
@@ -135,7 +135,7 @@ func TestRetagMiss(t *testing.T) {
 func TestOverlayAddressesCoexist(t *testing.T) {
 	// An overlay line and the regular line with the same low bits must not
 	// collide: the overlay bit is part of the tag.
-	c := New("t", 4096, 2, NewLRU)
+	c := New("t", 4096, 2, LRU)
 	reg := addrOf(5)
 	ovl := arch.PhysAddr(uint64(reg) | arch.OverlayBit)
 	c.Fill(reg, false)
@@ -148,46 +148,54 @@ func TestOverlayAddressesCoexist(t *testing.T) {
 	}
 }
 
+// fillSet fills every way of set with its own line and returns the
+// lines in way order.
+func fillSet(c *Cache, set int) []arch.PhysAddr {
+	var lines []arch.PhysAddr
+	for w := 0; w < c.Ways(); w++ {
+		a := addrOf(uint64(set + w*c.Sets()))
+		c.Fill(a, false)
+		lines = append(lines, a)
+	}
+	return lines
+}
+
 func TestDRRIPVictimPrefersDistant(t *testing.T) {
-	r := NewDRRIP(64, 4).(*drrip)
+	c := New("t", 64*4*arch.LineSize, 4, DRRIP)
 	set := 1 // follower set
 	// Fill all ways (SRRIP default: PSEL starts in SRRIP half).
-	for w := 0; w < 4; w++ {
-		r.OnFill(set, w)
-	}
-	r.OnHit(set, 2) // way 2 becomes RRPV 0
-	v := r.Victim(set)
-	if v == 2 {
-		t.Fatal("victim selected the just-hit way")
+	lines := fillSet(c, set)
+	c.Lookup(lines[2], false) // way 2 becomes RRPV 0
+	ev, evicted := c.Fill(addrOf(uint64(set+4*c.Sets())), false)
+	if !evicted || ev.Addr == lines[2] {
+		t.Fatalf("eviction %+v (%v): victim selected the just-hit way", ev, evicted)
 	}
 }
 
 func TestDRRIPVictimTerminates(t *testing.T) {
-	r := NewDRRIP(64, 4).(*drrip)
+	c := New("t", 64*4*arch.LineSize, 4, DRRIP)
 	set := 1
-	for w := 0; w < 4; w++ {
-		r.OnFill(set, w)
-		r.OnHit(set, w) // all RRPV 0
+	for _, a := range fillSet(c, set) {
+		c.Lookup(a, false) // all RRPV 0
 	}
-	v := r.Victim(set)
-	if v < 0 || v > 3 {
-		t.Fatalf("victim = %d", v)
+	if _, evicted := c.Fill(addrOf(uint64(set+4*c.Sets())), false); !evicted {
+		t.Fatal("fill into a full set evicted nothing")
 	}
 }
 
 func TestDRRIPSetDueling(t *testing.T) {
-	r := NewDRRIP(64, 4).(*drrip)
-	if r.leader(0) != 1 || r.leader(duelPeriod/2) != -1 || r.leader(1) != 0 {
+	c := New("t", 64*4*arch.LineSize, 4, DRRIP)
+	if leader(0) != 1 || leader(duelPeriod/2) != -1 || leader(1) != 0 {
 		t.Fatal("leader classification wrong")
 	}
-	start := r.psel
-	r.OnMiss(0) // SRRIP leader miss → PSEL down
-	if r.psel != start-1 {
-		t.Fatalf("psel = %d, want %d", r.psel, start-1)
+	start := c.psel
+	c.Lookup(addrOf(0), false) // SRRIP leader miss → PSEL down
+	if c.psel != start-1 {
+		t.Fatalf("psel = %d, want %d", c.psel, start-1)
 	}
-	r.OnMiss(duelPeriod / 2) // BRRIP leader miss → PSEL up
-	if r.psel != start {
-		t.Fatalf("psel = %d, want %d", r.psel, start)
+	c.Lookup(addrOf(duelPeriod/2), false) // BRRIP leader miss → PSEL up
+	if c.psel != start {
+		t.Fatalf("psel = %d, want %d", c.psel, start)
 	}
 }
 
@@ -196,7 +204,7 @@ func TestDRRIPScanResistance(t *testing.T) {
 	// BRRIP winning the duel, most scan lines insert at distant RRPV and
 	// the working set survives better than pure LRU.
 	const ways = 16
-	c := New("t", ways*arch.LineSize*64, ways, NewDRRIP)
+	c := New("t", ways*arch.LineSize*64, ways, DRRIP)
 	rng := rand.New(rand.NewSource(7))
 	// Hot working set: ways/2 lines per set, touched often.
 	hot := make([]arch.PhysAddr, 0)
@@ -235,5 +243,5 @@ func TestCachePanicsOnBadGeometry(t *testing.T) {
 			t.Fatal("expected panic for non-power-of-two sets")
 		}
 	}()
-	New("bad", 3*arch.LineSize, 1, NewLRU)
+	New("bad", 3*arch.LineSize, 1, LRU)
 }

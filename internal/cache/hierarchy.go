@@ -27,7 +27,7 @@ type LevelConfig struct {
 	Ways       int
 	HitLatency sim.Cycle
 	TagLatency sim.Cycle
-	NewRepl    func(sets, ways int) Replacement
+	Policy     Policy
 }
 
 // HierarchyConfig describes the three-level hierarchy.
@@ -40,9 +40,9 @@ type HierarchyConfig struct {
 // L3 (10/24, serial lookup) with DRRIP.
 func DefaultHierarchyConfig() HierarchyConfig {
 	return HierarchyConfig{
-		L1: LevelConfig{Size: 64 << 10, Ways: 4, HitLatency: 2, TagLatency: 1, NewRepl: NewLRU},
-		L2: LevelConfig{Size: 512 << 10, Ways: 8, HitLatency: 8, TagLatency: 2, NewRepl: NewLRU},
-		L3: LevelConfig{Size: 2 << 20, Ways: 16, HitLatency: 34, TagLatency: 10, NewRepl: NewDRRIP},
+		L1: LevelConfig{Size: 64 << 10, Ways: 4, HitLatency: 2, TagLatency: 1, Policy: LRU},
+		L2: LevelConfig{Size: 512 << 10, Ways: 8, HitLatency: 8, TagLatency: 2, Policy: LRU},
+		L3: LevelConfig{Size: 2 << 20, Ways: 16, HitLatency: 34, TagLatency: 10, Policy: DRRIP},
 	}
 }
 
@@ -55,18 +55,20 @@ type mshrEntry struct {
 // concurrent misses to the same line. Its per-access event scheduling is
 // allocation-free: completions are continuations bound once at
 // construction with the line address as the packed argument, and MSHR
-// entries are recycled through a free list.
+// entries live in a slab recycled through a free list, found by line
+// number through flat tables.
 type Hierarchy struct {
-	engine   *sim.Engine
-	cfg      HierarchyConfig
-	L1       *Cache
-	L2       *Cache
-	L3       *Cache
-	backend  Backend
-	mshr     map[arch.PhysAddr]*mshrEntry
-	pfBusy   map[arch.PhysAddr]*mshrEntry // in-flight prefetches (+ late demand waiters)
-	pf       MissObserver
-	freeMSHR []*mshrEntry
+	engine  *sim.Engine
+	cfg     HierarchyConfig
+	L1      *Cache
+	L2      *Cache
+	L3      *Cache
+	backend Backend
+	mshr    sim.LineTable // line → entry of an in-flight demand miss
+	pfBusy  sim.LineTable // line → entry of an in-flight prefetch (+ late demand waiters)
+	pf      MissObserver
+	entries []mshrEntry
+	free    []int32 // indices of unused entries
 
 	completeL2Fn  sim.ArgEvent // arg = line address
 	completeL3Fn  sim.ArgEvent
@@ -87,12 +89,10 @@ func NewHierarchy(engine *sim.Engine, cfg HierarchyConfig, backend Backend) *Hie
 	h := &Hierarchy{
 		engine:     engine,
 		cfg:        cfg,
-		L1:         New("l1", cfg.L1.Size, cfg.L1.Ways, cfg.L1.NewRepl),
-		L2:         New("l2", cfg.L2.Size, cfg.L2.Ways, cfg.L2.NewRepl),
-		L3:         New("l3", cfg.L3.Size, cfg.L3.Ways, cfg.L3.NewRepl),
+		L1:         New("l1", cfg.L1.Size, cfg.L1.Ways, cfg.L1.Policy),
+		L2:         New("l2", cfg.L2.Size, cfg.L2.Ways, cfg.L2.Policy),
+		L3:         New("l3", cfg.L3.Size, cfg.L3.Ways, cfg.L3.Policy),
 		backend:    backend,
-		mshr:       make(map[arch.PhysAddr]*mshrEntry),
-		pfBusy:     make(map[arch.PhysAddr]*mshrEntry),
 		l1Hits:     engine.Stats.Counter("cache.l1.hits"),
 		l1Misses:   engine.Stats.Counter("cache.l1.misses"),
 		l2Hits:     engine.Stats.Counter("cache.l2.hits"),
@@ -116,24 +116,39 @@ func NewHierarchy(engine *sim.Engine, cfg HierarchyConfig, backend Backend) *Hie
 	return h
 }
 
-func (h *Hierarchy) newEntry(write bool) *mshrEntry {
-	if n := len(h.freeMSHR); n > 0 {
-		e := h.freeMSHR[n-1]
-		h.freeMSHR[n-1] = nil
-		h.freeMSHR = h.freeMSHR[:n-1]
-		e.write = write
-		return e
+// newEntry takes an unused entry from the slab.
+func (h *Hierarchy) newEntry() int32 {
+	if n := len(h.free); n > 0 {
+		i := h.free[n-1]
+		h.free = h.free[:n-1]
+		return i
 	}
-	return &mshrEntry{write: write}
+	h.entries = append(h.entries, mshrEntry{})
+	return int32(len(h.entries) - 1)
 }
 
-func (h *Hierarchy) freeEntry(e *mshrEntry) {
-	for i := range e.dones {
-		e.dones[i] = sim.Cont{}
+// wait merges an access into entry i: a store makes the fill dirty, and
+// done joins the waiters.
+func (h *Hierarchy) wait(i int32, write bool, done sim.Cont) {
+	e := &h.entries[i]
+	e.write = e.write || write
+	if done.Valid() {
+		e.dones = append(e.dones, done)
 	}
+}
+
+// release runs entry i's waiters and returns the entry to the free list.
+// A waiter may start a new miss, which can grow the slab, so the entry
+// is indexed afresh once they have run.
+func (h *Hierarchy) release(i int32) {
+	for _, d := range h.entries[i].dones {
+		d.Invoke()
+	}
+	e := &h.entries[i]
+	clear(e.dones)
 	e.dones = e.dones[:0]
 	e.write = false
-	h.freeMSHR = append(h.freeMSHR, e)
+	h.free = append(h.free, i)
 }
 
 // SetPrefetcher attaches the L2-miss observer.
@@ -156,34 +171,27 @@ func (h *Hierarchy) AccessCont(addr arch.PhysAddr, write bool, done sim.Cont) {
 		return
 	}
 	*h.l1Misses++
-	if e, ok := h.mshr[addr]; ok {
+	line := uint64(addr) >> arch.LineShift
+	if i, ok := h.mshr.Get(line); ok {
 		*h.mshrMerges++
-		e.write = e.write || write
-		if done.Valid() {
-			e.dones = append(e.dones, done)
-		}
+		h.wait(i, write, done)
 		return
 	}
 	// A demand access racing an in-flight prefetch rides the prefetch's
 	// completion instead of issuing a second fetch. It still trains the
 	// prefetcher — a late prefetch means the stream must run further
 	// ahead (the feedback in "feedback-directed prefetching").
-	if e, ok := h.pfBusy[addr]; ok {
+	if i, ok := h.pfBusy.Get(line); ok {
 		*h.pfMerges++
-		e.write = e.write || write
-		if done.Valid() {
-			e.dones = append(e.dones, done)
-		}
+		h.wait(i, write, done)
 		if h.pf != nil {
 			h.pf.OnMiss(addr)
 		}
 		return
 	}
-	e := h.newEntry(write)
-	if done.Valid() {
-		e.dones = append(e.dones, done)
-	}
-	h.mshr[addr] = e
+	i := h.newEntry()
+	h.wait(i, write, done)
+	h.mshr.Put(line, i)
 	h.descend(addr)
 }
 
@@ -211,20 +219,16 @@ func (h *Hierarchy) descend(addr arch.PhysAddr) {
 // complete fires when data for addr arrives from the given level (2 = L2,
 // 3 = L3, 4 = memory). It fills the upper levels and releases waiters.
 func (h *Hierarchy) complete(addr arch.PhysAddr, fromLevel int) {
-	e := h.mshr[addr]
-	delete(h.mshr, addr)
+	i, ok := h.mshr.Take(uint64(addr) >> arch.LineShift)
 	if fromLevel >= 4 {
 		h.fill(h.L3, addr, false)
 	}
 	if fromLevel >= 3 {
 		h.fill(h.L2, addr, false)
 	}
-	h.fill(h.L1, addr, e != nil && e.write)
-	if e != nil {
-		for _, d := range e.dones {
-			d.Invoke()
-		}
-		h.freeEntry(e)
+	h.fill(h.L1, addr, ok && h.entries[i].write)
+	if ok {
+		h.release(i)
 	}
 }
 
@@ -257,13 +261,14 @@ func (h *Hierarchy) Prefetch(addr arch.PhysAddr) bool {
 	if h.L3.Present(addr) || h.L2.Present(addr) || h.L1.Present(addr) {
 		return false
 	}
-	if _, busy := h.pfBusy[addr]; busy {
+	line := uint64(addr) >> arch.LineShift
+	if _, busy := h.pfBusy.Get(line); busy {
 		return false
 	}
-	if _, demand := h.mshr[addr]; demand {
+	if _, demand := h.mshr.Get(line); demand {
 		return false
 	}
-	h.pfBusy[addr] = h.newEntry(false)
+	h.pfBusy.Put(line, h.newEntry())
 	*h.prefetches++
 	h.backend.Fetch(addr, sim.Bind(h.pfDoneFn, uint64(addr)))
 	return true
@@ -272,19 +277,16 @@ func (h *Hierarchy) Prefetch(addr arch.PhysAddr) bool {
 // prefetchDone fills a completed prefetch into L3 (and, when demand
 // waiters merged onto it, upward) and releases the waiters.
 func (h *Hierarchy) prefetchDone(addr arch.PhysAddr) {
-	e := h.pfBusy[addr]
-	delete(h.pfBusy, addr)
+	i, ok := h.pfBusy.Take(uint64(addr) >> arch.LineShift)
 	h.fill(h.L3, addr, false)
-	if e != nil {
-		if len(e.dones) > 0 {
-			h.fill(h.L2, addr, false)
-			h.fill(h.L1, addr, e.write)
-			for _, d := range e.dones {
-				d.Invoke()
-			}
-		}
-		h.freeEntry(e)
+	if !ok {
+		return
 	}
+	if e := h.entries[i]; len(e.dones) > 0 {
+		h.fill(h.L2, addr, false)
+		h.fill(h.L1, addr, e.write)
+	}
+	h.release(i)
 }
 
 // Install fills the line into L1 directly without a timed fetch (used for
@@ -292,13 +294,6 @@ func (h *Hierarchy) prefetchDone(addr arch.PhysAddr) {
 // produced by the copy engine rather than demand-fetched).
 func (h *Hierarchy) Install(addr arch.PhysAddr, dirty bool) {
 	h.fill(h.L1, addr.LineAligned(), dirty)
-}
-
-// PrefetchInFlight reports whether addr is currently being prefetched.
-// Backends use it to tell prefetch fills apart from demand fetches.
-func (h *Hierarchy) PrefetchInFlight(addr arch.PhysAddr) bool {
-	_, ok := h.pfBusy[addr.LineAligned()]
-	return ok
 }
 
 // Present reports whether any level holds the line.
@@ -343,4 +338,4 @@ func (h *Hierarchy) Invalidate(addr arch.PhysAddr) (present, dirty bool) {
 }
 
 // OutstandingMisses reports the number of in-flight demand misses.
-func (h *Hierarchy) OutstandingMisses() int { return len(h.mshr) }
+func (h *Hierarchy) OutstandingMisses() int { return h.mshr.Len() }

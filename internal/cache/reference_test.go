@@ -248,11 +248,11 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 func checkAgainstReference(t *testing.T, name string, drrip bool, sets, ways int, seed int64) {
 	t.Helper()
 	newCache := func() *Cache {
-		repl := NewLRU
+		policy := LRU
 		if drrip {
-			repl = NewDRRIP
+			policy = DRRIP
 		}
-		return New(name, sets*ways*arch.LineSize, ways, repl)
+		return New(name, sets*ways*arch.LineSize, ways, policy)
 	}
 	c := newCache()
 	ref := newRefCache(drrip, sets, ways)

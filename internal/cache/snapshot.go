@@ -1,112 +1,41 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// Snapshot support: a Cache's tag state, its replacement policy's
-// internal state, and the whole Hierarchy can be captured at a
-// quiescence point (no in-flight misses or prefetches) and restored
-// onto a freshly constructed hierarchy of the same configuration.
-// The stats-registry counters are restored separately through
-// sim.Stats; Cache.Hits/Misses are plain struct fields and so are
-// captured here.
-
-// replState is the opaque captured state of a replacement policy.
-type replState interface{ isReplState() }
-
-// replSnapshotter is implemented by the built-in policies. A custom
-// Replacement that does not implement it cannot be snapshotted.
-type replSnapshotter interface {
-	snapshotRepl() replState
-	restoreRepl(replState)
-}
-
-type lruState struct {
-	stamp []uint64
-	clock uint64
-}
-
-func (lruState) isReplState() {}
-
-func (l *lru) snapshotRepl() replState {
-	var flat []uint64
-	for _, row := range l.stamp {
-		flat = append(flat, row...)
-	}
-	return lruState{stamp: flat, clock: l.clock}
-}
-
-func (l *lru) restoreRepl(s replState) {
-	st := s.(lruState)
-	i := 0
-	for _, row := range l.stamp {
-		copy(row, st.stamp[i:i+len(row)])
-		i += len(row)
-	}
-	l.clock = st.clock
-}
-
-type drripState struct {
-	rrpv    []uint8
-	psel    int
-	fillSeq uint64
-}
-
-func (drripState) isReplState() {}
-
-func (d *drrip) snapshotRepl() replState {
-	var flat []uint8
-	for _, row := range d.rrpv {
-		flat = append(flat, row...)
-	}
-	return drripState{rrpv: flat, psel: d.psel, fillSeq: d.fillSeq}
-}
-
-func (d *drrip) restoreRepl(s replState) {
-	st := s.(drripState)
-	i := 0
-	for _, row := range d.rrpv {
-		copy(row, st.rrpv[i:i+len(row)])
-		i += len(row)
-	}
-	d.psel = st.psel
-	d.fillSeq = st.fillSeq
-}
+// Snapshot support: a Cache's tag and replacement state, and the whole
+// Hierarchy, can be captured at a quiescence point (no in-flight misses
+// or prefetches) and restored onto a freshly constructed hierarchy of
+// the same configuration. The stats-registry counters are restored
+// separately through sim.Stats; Cache.Hits/Misses are plain struct
+// fields and so are captured here.
 
 // Snapshot is an immutable capture of one cache level.
-type Snapshot struct {
-	lines        []line
-	hits, misses uint64
-	repl         replState
-}
+type Snapshot struct{ c Cache }
 
-// Snapshot captures the cache's tag array, hit/miss totals and
-// replacement state. It panics if the replacement policy is not one of
-// the built-in snapshottable ones.
+// Snapshot captures the cache's tag array, replacement state and
+// hit/miss totals.
 func (c *Cache) Snapshot() *Snapshot {
-	rs, ok := c.repl.(replSnapshotter)
-	if !ok {
-		panic(fmt.Sprintf("cache %s: replacement policy %T is not snapshottable", c.Name, c.repl))
-	}
-	var flat []line
-	for _, set := range c.data {
-		flat = append(flat, set...)
-	}
-	return &Snapshot{lines: flat, hits: c.Hits, misses: c.Misses, repl: rs.snapshotRepl()}
+	s := &Snapshot{c: *c}
+	s.c.tags = slices.Clone(c.tags)
+	s.c.stamp = slices.Clone(c.stamp)
+	s.c.rrpv = slices.Clone(c.rrpv)
+	return s
 }
 
 // Restore loads the captured state into this cache, which must have the
-// same geometry and replacement policy kind.
+// same geometry and replacement policy.
 func (c *Cache) Restore(s *Snapshot) {
-	if len(s.lines) != c.sets*c.ways {
-		panic(fmt.Sprintf("cache %s: restore geometry mismatch", c.Name))
+	if s.c.sets != c.sets || s.c.ways != c.ways || s.c.policy != c.policy {
+		panic(fmt.Sprintf("cache %s: restore geometry or policy mismatch", c.Name))
 	}
-	i := 0
-	for _, set := range c.data {
-		copy(set, s.lines[i:i+len(set)])
-		i += len(set)
-	}
-	c.Hits, c.Misses = s.hits, s.misses
-	c.repl.(replSnapshotter).restoreRepl(s.repl)
+	copy(c.tags, s.c.tags)
+	copy(c.stamp, s.c.stamp)
+	copy(c.rrpv, s.c.rrpv)
+	c.clock, c.psel, c.fillSeq = s.c.clock, s.c.psel, s.c.fillSeq
+	c.Hits, c.Misses = s.c.Hits, s.c.Misses
 }
 
 // HierarchySnapshot captures all three levels of a quiescent hierarchy.
@@ -118,7 +47,7 @@ type HierarchySnapshot struct {
 // are still in flight — snapshots are only taken after the engine's
 // event queue has drained, at which point the MSHRs are empty.
 func (h *Hierarchy) Snapshot() *HierarchySnapshot {
-	if len(h.mshr) != 0 || len(h.pfBusy) != 0 {
+	if h.mshr.Len() != 0 || h.pfBusy.Len() != 0 {
 		panic("cache: hierarchy snapshot with in-flight misses")
 	}
 	return &HierarchySnapshot{L1: h.L1.Snapshot(), L2: h.L2.Snapshot(), L3: h.L3.Snapshot()}

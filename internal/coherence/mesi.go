@@ -157,7 +157,7 @@ func New(engine *sim.Engine, cfg Config, mem Memory) *Domain {
 		invals:     engine.Stats.Counter("coherence.invalidations"),
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		d.l1 = append(d.l1, cache.New(fmt.Sprintf("l1.%d", i), cfg.L1Size, cfg.L1Ways, cache.NewLRU))
+		d.l1 = append(d.l1, cache.New(fmt.Sprintf("l1.%d", i), cfg.L1Size, cfg.L1Ways, cache.LRU))
 	}
 	return d
 }

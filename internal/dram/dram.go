@@ -12,9 +12,9 @@
 //
 // The controller is allocation-free in steady state: request structs are
 // recycled through a free list, the bank/row decode is computed once at
-// enqueue, the write-buffer membership check uses an open-addressing
-// table instead of a Go map, and the scheduler's self-wakeup events are
-// continuations bound once at construction.
+// enqueue, the write-buffer membership check counts lines in a flat
+// sim.LineTable instead of a Go map, and the scheduler's self-wakeup
+// events are continuations bound once at construction.
 package dram
 
 import (
@@ -75,7 +75,7 @@ type Controller struct {
 	banks     []bank
 	readQ     []*request
 	writeBuf  []*request
-	pendingWr wrTable // line number → count in write buffer
+	pendingWr sim.LineTable // line number → count in write buffer
 	freeReq   []*request
 	busFreeAt sim.Cycle
 	draining  bool
@@ -119,7 +119,6 @@ func New(engine *sim.Engine, cfg Config) *Controller {
 		rowClosed:  engine.Stats.Counter("dram.row_closed"),
 		rowConfl:   engine.Stats.Counter("dram.row_conflicts"),
 	}
-	c.pendingWr.init(cfg.WriteBufCap)
 	c.kickCont = sim.ContOf(func() {
 		c.kicked = false
 		c.issue()
@@ -165,7 +164,7 @@ func (c *Controller) Read(addr arch.PhysAddr, done func()) {
 func (c *Controller) ReadCont(addr arch.PhysAddr, done sim.Cont) {
 	addr = addr.LineAligned()
 	*c.reads++
-	if c.pendingWr.get(uint64(addr)>>arch.LineShift) > 0 {
+	if _, ok := c.pendingWr.Get(uint64(addr) >> arch.LineShift); ok {
 		// Forward from the write buffer: the youngest matching write holds
 		// the data, no DRAM access needed.
 		*c.wbForwards++
@@ -191,7 +190,9 @@ func (c *Controller) Write(addr arch.PhysAddr, done func()) {
 	r.addr, r.write, r.arrival, r.done = addr, true, c.engine.Now(), sim.Cont{}
 	r.bank, r.row = c.mapAddr(addr)
 	c.writeBuf = append(c.writeBuf, r)
-	c.pendingWr.inc(uint64(addr) >> arch.LineShift)
+	line := uint64(addr) >> arch.LineShift
+	n, _ := c.pendingWr.Get(line)
+	c.pendingWr.Put(line, n+1)
 	if len(c.writeBuf) >= c.cfg.WriteBufCap {
 		if !c.draining {
 			*c.wbDrains++
@@ -283,7 +284,12 @@ func (c *Controller) issue() {
 	c.remove(pool, best)
 
 	if r.write {
-		c.pendingWr.dec(uint64(r.addr) >> arch.LineShift)
+		line := uint64(r.addr) >> arch.LineShift
+		if n, _ := c.pendingWr.Get(line); n > 1 {
+			c.pendingWr.Put(line, n-1)
+		} else {
+			c.pendingWr.Take(line)
+		}
 		if c.draining && len(c.writeBuf) == 0 {
 			c.draining = false
 		}
@@ -329,125 +335,4 @@ func maxCycle(a, b sim.Cycle) sim.Cycle {
 		return a
 	}
 	return b
-}
-
-// wrTable is a small open-addressing (linear probing) multiset of line
-// numbers, tracking how many write-buffer entries cover each line. It
-// replaces a map[PhysAddr]int on the per-read forwarding check. Deletion
-// uses backward-shift so no tombstones accumulate.
-type wrTable struct {
-	keys   []uint64 // emptyKey marks a free slot
-	counts []uint32
-	used   int
-	mask   uint64
-}
-
-const emptyKey = ^uint64(0)
-
-func (t *wrTable) init(writeBufCap int) {
-	size := 16
-	for size < 4*writeBufCap {
-		size <<= 1
-	}
-	t.grow(size)
-}
-
-func (t *wrTable) grow(size int) {
-	oldKeys, oldCounts := t.keys, t.counts
-	t.keys = make([]uint64, size)
-	t.counts = make([]uint32, size)
-	t.mask = uint64(size - 1)
-	t.used = 0
-	for i := range t.keys {
-		t.keys[i] = emptyKey
-	}
-	for i, k := range oldKeys {
-		if k != emptyKey {
-			t.set(k, oldCounts[i])
-		}
-	}
-}
-
-// hash spreads line numbers (low-entropy sequential values) across slots.
-func wrHash(key uint64) uint64 {
-	key *= 0x9e3779b97f4a7c15 // Fibonacci hashing
-	return key ^ (key >> 29)
-}
-
-func (t *wrTable) slot(key uint64) uint64 { return wrHash(key) & t.mask }
-
-func (t *wrTable) get(key uint64) uint32 {
-	for i := t.slot(key); ; i = (i + 1) & t.mask {
-		switch t.keys[i] {
-		case key:
-			return t.counts[i]
-		case emptyKey:
-			return 0
-		}
-	}
-}
-
-func (t *wrTable) set(key uint64, count uint32) {
-	for i := t.slot(key); ; i = (i + 1) & t.mask {
-		if t.keys[i] == emptyKey {
-			t.keys[i] = key
-			t.counts[i] = count
-			t.used++
-			return
-		}
-		if t.keys[i] == key {
-			t.counts[i] = count
-			return
-		}
-	}
-}
-
-func (t *wrTable) inc(key uint64) {
-	if t.used*2 >= len(t.keys) {
-		t.grow(len(t.keys) * 2)
-	}
-	for i := t.slot(key); ; i = (i + 1) & t.mask {
-		if t.keys[i] == key {
-			t.counts[i]++
-			return
-		}
-		if t.keys[i] == emptyKey {
-			t.keys[i] = key
-			t.counts[i] = 1
-			t.used++
-			return
-		}
-	}
-}
-
-func (t *wrTable) dec(key uint64) {
-	for i := t.slot(key); ; i = (i + 1) & t.mask {
-		if t.keys[i] == key {
-			t.counts[i]--
-			if t.counts[i] == 0 {
-				t.del(i)
-			}
-			return
-		}
-		if t.keys[i] == emptyKey {
-			return // not present (caller bug, but mirror map semantics)
-		}
-	}
-}
-
-// del empties slot i and backward-shifts the following cluster so every
-// remaining key stays reachable from its home slot.
-func (t *wrTable) del(i uint64) {
-	t.keys[i] = emptyKey
-	t.used--
-	for j := (i + 1) & t.mask; t.keys[j] != emptyKey; j = (j + 1) & t.mask {
-		home := t.slot(t.keys[j])
-		// Shift back if j's key cannot be reached from its home slot once
-		// slot i is empty (i.e. i lies within [home, j] on the ring).
-		if (j-home)&t.mask >= (j-i)&t.mask {
-			t.keys[i], t.counts[i] = t.keys[j], t.counts[j]
-			t.keys[j] = emptyKey
-			i = j
-		}
-	}
 }

@@ -145,8 +145,8 @@ type Cache struct {
 	missLat sim.Cycle
 
 	slots      []cacheSlot
-	index      map[arch.OPN]int32
-	head, tail int32 // MRU at head, LRU at tail; -1 when empty
+	index      sim.LineTable // OPN → slot
+	head, tail int32         // MRU at head, LRU at tail; -1 when empty
 	free       []int32
 
 	hits      *uint64
@@ -184,7 +184,6 @@ func NewCache(cfg CacheConfig, table *Table, stats *sim.Stats) *Cache {
 		hitLat:  cfg.HitLatency,
 		missLat: cfg.MissLatency,
 		slots:   make([]cacheSlot, cfg.Entries),
-		index:   make(map[arch.OPN]int32, cfg.Entries),
 		head:    -1,
 		tail:    -1,
 		free:    make([]int32, 0, cfg.Entries),
@@ -233,7 +232,7 @@ func (c *Cache) pushFront(i int32) {
 // Lookup returns the (authoritative) entry pointer for opn and the access
 // latency: a cache hit or a full OMT walk that then fills the cache.
 func (c *Cache) Lookup(opn arch.OPN) (*Entry, sim.Cycle) {
-	if i, ok := c.index[opn]; ok {
+	if i, ok := c.index.Get(uint64(opn)); ok {
 		if c.head != i {
 			c.unlink(i)
 			c.pushFront(i)
@@ -252,28 +251,27 @@ func (c *Cache) Lookup(opn arch.OPN) (*Entry, sim.Cycle) {
 	} else {
 		i = c.tail
 		c.unlink(i)
-		delete(c.index, c.slots[i].opn)
+		c.index.Take(uint64(c.slots[i].opn))
 		*c.evictions++
 	}
 	c.slots[i].opn = opn
 	c.pushFront(i)
-	c.index[opn] = i
+	c.index.Put(uint64(opn), i)
 	return c.table.Ref(opn), c.missLat
 }
 
 // Contains reports whether opn is cached (no latency, no LRU update).
 func (c *Cache) Contains(opn arch.OPN) bool {
-	_, ok := c.index[opn]
+	_, ok := c.index.Get(uint64(opn))
 	return ok
 }
 
 // Invalidate drops opn from the cache (promotion/discard actions).
 func (c *Cache) Invalidate(opn arch.OPN) {
-	i, ok := c.index[opn]
+	i, ok := c.index.Take(uint64(opn))
 	if !ok {
 		return
 	}
 	c.unlink(i)
-	delete(c.index, opn)
 	c.free = append(c.free, i)
 }

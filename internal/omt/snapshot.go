@@ -1,12 +1,13 @@
 package omt
 
-import "repro/internal/arch"
+import "repro/internal/sim"
 
 // Snapshot support: the authoritative Table is deep-copied (radix nodes
 // and entry leaves) and the controller cache's intrusive-LRU residency
-// state is captured by value. Restored cache slots resolve entries
-// dynamically through Table.Ref, so re-pointing a restored cache at a
-// forked table is all the rebinding needed.
+// state is captured by value; the residency index is rebuilt from the
+// LRU list on restore. Restored cache slots resolve entries dynamically
+// through Table.Ref, so re-pointing a restored cache at a forked table
+// is all the rebinding needed.
 
 func cloneNode(n *node) *node {
 	c := &node{}
@@ -39,24 +40,18 @@ func (t *Table) Clone() *Table {
 // and LRU state.
 type CacheSnapshot struct {
 	slots      []cacheSlot
-	index      map[arch.OPN]int32
 	head, tail int32
 	free       []int32
 }
 
-// Snapshot captures the cache's LRU list, slot array and index.
+// Snapshot captures the cache's LRU list and slot array.
 func (c *Cache) Snapshot() *CacheSnapshot {
-	s := &CacheSnapshot{
+	return &CacheSnapshot{
 		slots: append([]cacheSlot(nil), c.slots...),
-		index: make(map[arch.OPN]int32, len(c.index)),
 		head:  c.head,
 		tail:  c.tail,
 		free:  append([]int32(nil), c.free...),
 	}
-	for k, v := range c.index {
-		s.index[k] = v
-	}
-	return s
 }
 
 // Restore loads the captured residency state into this cache and points
@@ -67,9 +62,9 @@ func (c *Cache) Restore(s *CacheSnapshot, table *Table) {
 		panic("omt: cache restore capacity mismatch")
 	}
 	copy(c.slots, s.slots)
-	c.index = make(map[arch.OPN]int32, len(s.index))
-	for k, v := range s.index {
-		c.index[k] = v
+	c.index = sim.LineTable{}
+	for i := s.head; i >= 0; i = c.slots[i].next {
+		c.index.Put(uint64(c.slots[i].opn), i)
 	}
 	c.head, c.tail = s.head, s.tail
 	c.free = append(c.free[:0], s.free...)

@@ -44,9 +44,14 @@ type Prefetcher struct {
 	stats   *sim.Stats
 	streams []stream
 	clock   uint64
+
+	// Counter handles, bound on first use: a prefetcher that never
+	// issues (a run of a few instructions) must add no zero counter to
+	// the export.
+	issued, allocated *uint64
 }
 
-// New builds a prefetcher that issues into target.
+// New builds a prefetcher that issues into target and counts into stats.
 func New(cfg Config, target Target, stats *sim.Stats) *Prefetcher {
 	return &Prefetcher{cfg: cfg, target: target, stats: stats, streams: make([]stream, cfg.Streams)}
 }
@@ -111,9 +116,10 @@ func (p *Prefetcher) allocate(line int64) {
 		}
 	}
 	p.streams[victim] = stream{valid: true, lastLine: line, lastUsed: p.clock}
-	if p.stats != nil {
-		p.stats.Inc("prefetch.streams_allocated")
+	if p.allocated == nil {
+		p.allocated = p.stats.Counter("prefetch.streams_allocated")
 	}
+	*p.allocated++
 }
 
 // issue sends up to Degree prefetches, staying within Distance lines of
@@ -131,9 +137,10 @@ func (p *Prefetcher) issue(s *stream) {
 		}
 		s.aheadTo = next
 		p.target.Prefetch(arch.PhysAddr(uint64(next) << arch.LineShift))
-		if p.stats != nil {
-			p.stats.Inc("prefetch.issued")
+		if p.issued == nil {
+			p.issued = p.stats.Counter("prefetch.issued")
 		}
+		*p.issued++
 		issued++
 	}
 }

@@ -21,12 +21,20 @@ func newPF() (*Prefetcher, *recorder, *sim.Stats) {
 
 func TestFirstMissOnlyAllocates(t *testing.T) {
 	p, r, st := newPF()
+	if names := st.Names(); len(names) != 0 {
+		t.Fatalf("counters before any miss: %v", names)
+	}
 	p.OnMiss(lineAddr(100))
 	if len(r.addrs) != 0 {
 		t.Fatalf("prefetches after one miss: %v", r.addrs)
 	}
 	if st.Get("prefetch.streams_allocated") != 1 {
 		t.Fatal("stream not allocated")
+	}
+	// A counter appears in exports once it is created, so one the
+	// prefetcher has not used yet must not exist.
+	if names := st.Names(); len(names) != 1 {
+		t.Fatalf("counters after one miss: %v, want only prefetch.streams_allocated", names)
 	}
 }
 
