@@ -119,7 +119,7 @@ func (c *Core) headSlot() *slot { return &c.window[c.head%WindowSize] }
 
 // Run starts execution and stops once `limit` instructions have retired
 // (or the trace ends). onDone fires at completion. Drive the engine
-// (engine.Run or RunWhile) to make progress.
+// (engine.Run or RunUntil) to make progress.
 func (c *Core) Run(limit uint64, onDone func()) {
 	if c.running {
 		panic("cpu: core already running")

@@ -10,11 +10,12 @@
 // acceptance (they are write-backs, off the critical path) and drain in
 // the background.
 //
-// The controller is allocation-free in steady state: request structs are
-// recycled through a free list, the bank/row decode is computed once at
-// enqueue, the write-buffer membership check counts lines in a flat
-// sim.LineTable instead of a Go map, and the scheduler's self-wakeup
-// events are continuations bound once at construction.
+// The controller is allocation-free in steady state: requests live in one
+// slab recycled through an int32 free list and both queues hold slab
+// indices, the bank/row decode is computed once at enqueue, the
+// write-buffer membership check counts lines in a flat sim.LineTable
+// instead of a Go map, and the scheduler's self-wakeup events are
+// continuations bound once at construction.
 package dram
 
 import (
@@ -73,10 +74,11 @@ type Controller struct {
 	cfg       Config
 	engine    *sim.Engine
 	banks     []bank
-	readQ     []*request
-	writeBuf  []*request
+	reqs      []request     // slab; readQ and writeBuf hold indices into it
+	freeReq   []int32       // indices of unused requests
+	readQ     []int32       // queued reads in arrival order
+	writeBuf  []int32       // buffered writes in arrival order
 	pendingWr sim.LineTable // line number → count in write buffer
-	freeReq   []*request
 	busFreeAt sim.Cycle
 	draining  bool
 	kicked    bool // an issue event is already scheduled for this cycle
@@ -127,19 +129,21 @@ func New(engine *sim.Engine, cfg Config) *Controller {
 	return c
 }
 
-func (c *Controller) newRequest() *request {
+// newRequest takes an unused request from the slab, fills it in with
+// the current cycle as its arrival and returns its index.
+func (c *Controller) newRequest(addr arch.PhysAddr, write bool, done sim.Cont) int32 {
+	var i int32
 	if n := len(c.freeReq); n > 0 {
-		r := c.freeReq[n-1]
-		c.freeReq[n-1] = nil
+		i = c.freeReq[n-1]
 		c.freeReq = c.freeReq[:n-1]
-		return r
+	} else {
+		c.reqs = append(c.reqs, request{})
+		i = int32(len(c.reqs) - 1)
 	}
-	return new(request)
-}
-
-func (c *Controller) freeRequest(r *request) {
-	r.done = sim.Cont{}
-	c.freeReq = append(c.freeReq, r)
+	r := &c.reqs[i]
+	r.addr, r.write, r.arrival, r.done = addr, write, c.engine.Now(), done
+	r.bank, r.row = c.mapAddr(addr)
+	return i
 }
 
 // linesPerRow returns how many cache lines one row buffer holds.
@@ -173,10 +177,7 @@ func (c *Controller) ReadCont(addr arch.PhysAddr, done sim.Cont) {
 		c.engine.ScheduleCont(c.cfg.WBForwardLat, done)
 		return
 	}
-	r := c.newRequest()
-	r.addr, r.write, r.arrival, r.done = addr, false, c.engine.Now(), done
-	r.bank, r.row = c.mapAddr(addr)
-	c.readQ = append(c.readQ, r)
+	c.readQ = append(c.readQ, c.newRequest(addr, false, done))
 	c.kick()
 }
 
@@ -186,10 +187,7 @@ func (c *Controller) ReadCont(addr arch.PhysAddr, done sim.Cont) {
 func (c *Controller) Write(addr arch.PhysAddr, done func()) {
 	addr = addr.LineAligned()
 	*c.writes++
-	r := c.newRequest()
-	r.addr, r.write, r.arrival, r.done = addr, true, c.engine.Now(), sim.Cont{}
-	r.bank, r.row = c.mapAddr(addr)
-	c.writeBuf = append(c.writeBuf, r)
+	c.writeBuf = append(c.writeBuf, c.newRequest(addr, true, sim.Cont{}))
 	line := uint64(addr) >> arch.LineShift
 	n, _ := c.pendingWr.Get(line)
 	c.pendingWr.Put(line, n+1)
@@ -216,46 +214,38 @@ func (c *Controller) kick() {
 	c.engine.ScheduleCont(0, c.kickCont)
 }
 
-// pool selects which queue the scheduler serves this round: reads unless
-// we are draining, or opportunistically writes when no reads are waiting.
-func (c *Controller) pool() []*request {
-	if c.draining {
-		return c.writeBuf
-	}
-	if len(c.readQ) == 0 && len(c.writeBuf) > 0 {
-		return c.writeBuf
-	}
-	return c.readQ
-}
-
 // issue picks one request per FR-FCFS (row hits first, then oldest) and
 // assigns it a bank/bus timeline, then reschedules itself for when the
-// channel can accept the next request.
+// channel can accept the next request. It serves the read queue unless
+// the write buffer is draining, or writes opportunistically when no
+// reads are waiting.
+//
+// Both queues are appended with arrival = Now() and removal keeps their
+// order, so queue order is arrival order: the oldest row hit is the
+// first one in the queue, and with no row hit the oldest request is the
+// head.
 func (c *Controller) issue() {
-	pool := c.pool()
+	q := &c.readQ
+	if c.draining || len(c.readQ) == 0 {
+		q = &c.writeBuf
+	}
+	pool := *q
 	if len(pool) == 0 {
-		if c.draining && len(c.writeBuf) == 0 {
-			c.draining = false
-		}
+		c.draining = false
 		return
 	}
 	now := c.engine.Now()
-	best := -1
-	bestHit := false
-	for i, r := range pool {
-		hit := c.banks[r.bank].openRow == r.row
-		if best == -1 {
-			best, bestHit = i, hit
-			continue
-		}
-		if hit && !bestHit {
-			best, bestHit = i, hit
-		} else if hit == bestHit && r.arrival < pool[best].arrival {
+	best := 0
+	for i, ri := range pool {
+		if r := &c.reqs[ri]; c.banks[r.bank].openRow == r.row {
 			best = i
+			break
 		}
 	}
+	ri := pool[best]
+	*q = append(pool[:best], pool[best+1:]...)
 
-	r := pool[best]
+	r := &c.reqs[ri]
 	b := &c.banks[r.bank]
 
 	// Column commands to an open row pipeline behind each other (data
@@ -281,8 +271,6 @@ func (c *Controller) issue() {
 	b.lastFinish = finish
 	c.busFreeAt = finish
 
-	c.remove(pool, best)
-
 	if r.write {
 		line := uint64(r.addr) >> arch.LineShift
 		if n, _ := c.pendingWr.Get(line); n > 1 {
@@ -290,44 +278,20 @@ func (c *Controller) issue() {
 		} else {
 			c.pendingWr.Take(line)
 		}
-		if c.draining && len(c.writeBuf) == 0 {
+		if len(c.writeBuf) == 0 {
 			c.draining = false
 		}
-		c.freeRequest(r)
 	} else {
 		c.queueLat.Observe(uint64(now - r.arrival))
 		c.readLat.Observe(uint64(finish - r.arrival))
 		c.engine.AtCont(finish, r.done)
-		c.freeRequest(r)
+		r.done = sim.Cont{}
 	}
+	c.freeReq = append(c.freeReq, ri)
 
 	// The command bus can issue the next command shortly after this one,
 	// letting other banks overlap their activations with this data burst.
 	c.engine.ScheduleCont(c.cfg.TCmd, c.issueCont)
-}
-
-// remove deletes index i from whichever queue pool aliases.
-func (c *Controller) remove(pool []*request, i int) {
-	target := pool[i]
-	if len(c.readQ) > 0 && sliceContainsAt(c.readQ, target, i) {
-		c.readQ = removeAt(c.readQ, i)
-		return
-	}
-	c.writeBuf = removeAt(c.writeBuf, i)
-}
-
-// removeAt deletes index i preserving order, clearing the vacated tail
-// slot so recycled requests are not retained through the queue's backing
-// array.
-func removeAt(q []*request, i int) []*request {
-	n := len(q)
-	copy(q[i:], q[i+1:])
-	q[n-1] = nil
-	return q[:n-1]
-}
-
-func sliceContainsAt(q []*request, r *request, i int) bool {
-	return i < len(q) && q[i] == r
 }
 
 func maxCycle(a, b sim.Cycle) sim.Cycle {

@@ -93,8 +93,9 @@ type Engine struct {
 	free      *node            // recycled event nodes
 	pending   int
 
-	// Memoised result of NextCycle; invalidated by pops, kept exact by
-	// Schedule (an earlier event simply lowers it).
+	// Memoised result of NextCycle; invalidated when a pop empties the
+	// current cycle's bucket, kept exact by Schedule (an earlier event
+	// simply lowers it).
 	nextAt    Cycle
 	nextValid bool
 
@@ -236,25 +237,32 @@ func (e *Engine) scanFrom(from Cycle) Cycle {
 	}
 }
 
-// advanceTo moves the clock to `at` and migrates overflow events that
-// the new window now covers into their calendar buckets. Heap pops come
-// out in (at, seq) order, so same-cycle migrants keep FIFO order.
-func (e *Engine) advanceTo(at Cycle) {
-	if at == e.now {
-		return
+// advance moves the clock to the earliest pending event's cycle and
+// returns it. Moving the clock migrates the overflow events the new
+// window covers into their buckets (heap pops come out in (at, seq)
+// order, so same-cycle migrants keep FIFO order); attached series then
+// sample every epoch boundary up to the cycle, which repeats harmlessly
+// when the clock has not moved. The caller guarantees pending > 0.
+func (e *Engine) advance() Cycle {
+	at, _ := e.NextCycle()
+	if at != e.now {
+		e.now = at
+		limit := at + windowSize
+		for len(e.overflow) > 0 && e.overflow[0].at < limit {
+			e.enqueue(e.overflowPop())
+		}
 	}
-	e.now = at
-	limit := at + windowSize
-	for len(e.overflow) > 0 && e.overflow[0].at < limit {
-		e.enqueue(e.overflowPop())
+	for _, s := range e.series {
+		s.advance(at, &e.Stats)
 	}
+	return at
 }
 
-// pop removes and returns the earliest event, advancing the clock to its
-// cycle. The caller guarantees pending > 0.
-func (e *Engine) pop() *node {
-	at, _ := e.NextCycle()
-	e.advanceTo(at)
+// take removes the head of the current cycle's bucket, recycles its
+// node and returns its continuation. The NextCycle memo stays valid
+// until the bucket empties: nothing can be scheduled before the current
+// cycle, and every overflow event lies beyond the window.
+func (e *Engine) take(at Cycle) Cont {
 	idx := at & windowMask
 	b := &e.buckets[idx]
 	n := b.head
@@ -262,12 +270,13 @@ func (e *Engine) pop() *node {
 	if b.head == nil {
 		b.tail = nil
 		e.occ[idx>>6] &^= 1 << (idx & 63)
+		e.nextValid = false
 	}
-	n.next = nil
 	e.nearCount--
 	e.pending--
-	e.nextValid = false
-	return n
+	c := n.c
+	e.recycle(n)
+	return c
 }
 
 // Attach registers a series for sampling as the clock advances. The
@@ -302,41 +311,30 @@ func (e *Engine) Step() bool {
 	if e.pending == 0 {
 		return false
 	}
-	n := e.pop()
-	if len(e.series) > 0 {
-		for _, s := range e.series {
-			s.advance(e.now, &e.Stats)
-		}
-	}
-	c := n.c
-	e.recycle(n)
-	c.Invoke()
+	e.take(e.advance()).Invoke()
 	return true
 }
 
 // Run executes events until the queue drains and returns the final cycle.
 func (e *Engine) Run() Cycle {
-	for e.Step() {
-	}
+	e.RunUntil(^Cycle(0))
 	return e.now
 }
 
 // RunUntil executes events with cycle ≤ limit. Events scheduled beyond the
 // limit remain queued; the clock is left at the last executed event (or
-// unchanged if none ran).
+// unchanged if none ran). Each clock advance runs its cycle's bucket
+// until it is empty; a delay-0 event joins the bucket's tail, so events
+// run in exactly the order repeated Step calls would give.
 func (e *Engine) RunUntil(limit Cycle) {
 	for {
-		at, ok := e.NextCycle()
-		if !ok || at > limit {
+		if at, ok := e.NextCycle(); !ok || at > limit {
 			return
 		}
-		e.Step()
-	}
-}
-
-// RunWhile executes events as long as cond returns true and events remain.
-func (e *Engine) RunWhile(cond func() bool) {
-	for cond() && e.Step() {
+		at := e.advance()
+		for b := &e.buckets[at&windowMask]; b.head != nil; {
+			e.take(at).Invoke()
+		}
 	}
 }
 

@@ -89,21 +89,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestRunWhile(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	var tick func()
-	tick = func() {
-		count++
-		e.Schedule(1, tick)
-	}
-	e.Schedule(1, tick)
-	e.RunWhile(func() bool { return count < 100 })
-	if count != 100 {
-		t.Fatalf("count = %d, want 100", count)
-	}
-}
-
 func TestAtPanicsOnPast(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(10, func() {})

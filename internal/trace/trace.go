@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/arch"
 	"repro/internal/cpu"
@@ -139,11 +140,21 @@ func (t *Reader) Next() (cpu.Instr, bool) {
 		return cpu.Instr{}, false
 	}
 	in := cpu.Instr{Kind: cpu.Kind(kind)}
+	if uint64(in.Kind) != kind { // wider than cpu.Kind, so never written by Append
+		t.err = fmt.Errorf("trace: unknown kind %d", kind)
+		return cpu.Instr{}, false
+	}
 	switch in.Kind {
 	case cpu.Compute:
 		n, err := binary.ReadUvarint(t.r)
 		if err != nil {
 			t.err = fmt.Errorf("trace: burst: %w", err)
+			return cpu.Instr{}, false
+		}
+		// Append writes bursts of at least 1, so 0 or a value past int's
+		// range is not a recorded burst.
+		if n == 0 || n > math.MaxInt {
+			t.err = fmt.Errorf("trace: burst %d out of range", n)
 			return cpu.Instr{}, false
 		}
 		in.N = int(n)

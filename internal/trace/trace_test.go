@@ -171,3 +171,33 @@ func TestTruncatedStream(t *testing.T) {
 		t.Fatal("truncation not reported")
 	}
 }
+
+// FuzzTraceReader feeds arbitrary bytes to the decoder `trace -in`
+// replays. It must never panic, and the instructions it accepts before
+// Err reports a failure must re-encode through Writer and decode to the
+// same instructions.
+func FuzzTraceReader(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var accepted []cpu.Instr
+		for {
+			in, ok := r.Next()
+			if !ok {
+				break
+			}
+			accepted = append(accepted, in)
+		}
+		back := roundTrip(t, accepted)
+		if len(back) != len(accepted) {
+			t.Fatalf("re-encoded %d instructions, decoded %d", len(accepted), len(back))
+		}
+		for i := range accepted {
+			if back[i] != accepted[i] {
+				t.Fatalf("instruction %d: decoded %+v, re-encoded and decoded %+v", i, accepted[i], back[i])
+			}
+		}
+	})
+}
